@@ -51,6 +51,7 @@ from .density import (
     SPECTRUM_UPPER,
     BlochCoefficients,
     bloch_coefficients,
+    conjugate,
     rho_diagonal,
     rho_full,
     spectrum_diagonal,
@@ -58,11 +59,13 @@ from .density import (
 )
 from .separability import (
     CharPolyCoeffs,
+    Classification,
     DepressedQuartic,
     ResolventRoots,
     ScanRecord,
     SeparabilityVerdict,
     char_poly_coeffs,
+    classify,
     corner_scan,
     depressed_quartic,
     eigenvalues_via_resolvent,

@@ -128,30 +128,51 @@ def structure_constants() -> np.ndarray:
     return _F
 
 
-def exp_generator(index: int, angle: float) -> np.ndarray:
-    """exp(i * lam_index * angle) in closed form.
+_DIAG = np.arange(4)
+
+
+def exp_generator(index: int, angle) -> np.ndarray:
+    """exp(i * lam_index * angle) in closed form; an angle ndarray of shape
+    (...) gives a (..., 4, 4) stack.
 
     Diagonal generators exponentiate entrywise.  Off-diagonal generators act
     as a 2x2 block on their support: a symmetric generator gives
     [[cos, i sin], [i sin, cos]], an antisymmetric one the real rotation
     [[cos, sin], [-sin, cos]].  Exact up to rounding, so safe in inner loops.
+    Both branches build every entry with the same operations, so each
+    stacked matrix equals the scalar result bit for bit.
     """
     _check_index(index)
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
-    if index in _DIAGONALS:
-        return np.diag(np.exp(1j * _DIAGONALS[index] * angle))
-    u = np.eye(4, dtype=complex)
+    if getattr(angle, "ndim", 0):
+        angle = np.asarray(angle, dtype=float)
+        if not np.isfinite(angle).all():
+            raise ValueError("angles must be finite")
+        u = np.zeros(angle.shape + (4, 4), dtype=complex)
+        if index in _DIAGONALS:
+            u[..., _DIAG, _DIAG] = np.exp(1j * _DIAGONALS[index] * angle[..., None])
+            return u
+        u[..., _DIAG, _DIAG] = 1.0
+        # entries[i, j] is the stack of u[..., i, j].
+        entries = np.moveaxis(u, (-2, -1), (0, 1))
+    else:
+        # Scalar branch, kept apart from the stack construction: per-state
+        # callers (one-form rows, single states) make tens of calls per
+        # state, and the stack form costs about twice as much per matrix.
+        if not np.isfinite(angle):
+            raise ValueError(f"angle must be finite, got {angle!r}")
+        if index in _DIAGONALS:
+            return np.diag(np.exp(1j * _DIAGONALS[index] * angle))
+        u = entries = np.eye(4, dtype=complex)
     c, s = np.cos(angle), np.sin(angle)
     if index in _SYMMETRIC_PAIRS:
         a, b = _SYMMETRIC_PAIRS[index]
-        u[a, a] = u[b, b] = c
-        u[a, b] = u[b, a] = 1j * s
+        entries[a, a] = entries[b, b] = c
+        entries[a, b] = entries[b, a] = 1j * s
     else:
         a, b = _ANTISYMMETRIC_PAIRS[index]
-        u[a, a] = u[b, b] = c
-        u[a, b] = s
-        u[b, a] = -s
+        entries[a, a] = entries[b, b] = c
+        entries[a, b] = s
+        entries[b, a] = -s
     return u
 
 

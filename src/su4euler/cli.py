@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import gell_mann, structure_constants
-from .density import bloch_coefficients, rho_diagonal, rho_full, spectrum_diagonal
+from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
 from .errors import ConsistencyError, ValidationError
 from .euler import compose_su4
 from .haar import analytic_volume, group_volume
@@ -135,8 +135,7 @@ def _rho_from_args(args) -> tuple:
     alphas = parse_angle_list(args.alpha, (12, 15))
     thetas = parse_angle_list(args.theta, (3,))
     if len(alphas) == 15:
-        u = compose_su4(alphas)
-        rho = u @ rho_diagonal(thetas) @ u.conj().T
+        rho = conjugate(compose_su4(alphas), thetas)
     else:
         rho = rho_full(alphas, thetas)
     return rho, thetas, alphas

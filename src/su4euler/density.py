@@ -42,20 +42,34 @@ class BlochCoefficients:
 
 
 def _wxy_squared(theta):
-    t1, t2, t3 = (float(t) for t in theta)
-    return np.sin(t1) ** 2, np.sin(t2) ** 2, np.sin(t3) ** 2
+    """(w2, x2, y2) = sin^2 of each state's spectrum angles, as Python
+    floats, for a (..., 3) angle array; returns (leading shape, rows).
+
+    The squares are taken on Python floats, so they keep the rounding of
+    pow(); numpy's array ``x**2`` is ``x*x``, which differs in the last bit
+    on some inputs and would move d and the audit eigenvalues with it.
+    """
+    sines = np.sin(np.asarray(theta, dtype=float))
+    rows = [(t1**2, t2**2, t3**2) for t1, t2, t3 in sines.reshape(-1, 3).tolist()]
+    return sines.shape[:-1], rows
 
 
 def spectrum_diagonal(theta) -> np.ndarray:
-    """Eigenvalue 4-vector (w2 x2 y2, (1-w2) x2 y2, (1-x2) y2, 1-y2)."""
-    w2, x2, y2 = _wxy_squared(theta)
-    return np.array([w2 * x2 * y2, (1.0 - w2) * x2 * y2, (1.0 - x2) * y2,
-                     1.0 - y2])
+    """Eigenvalue 4-vector (w2 x2 y2, (1-w2) x2 y2, (1-x2) y2, 1-y2);
+    spectrum angles (..., 3) give (..., 4)."""
+    shape, rows = _wxy_squared(theta)
+    spectra = [(w2 * x2 * y2, (1.0 - w2) * x2 * y2, (1.0 - x2) * y2, 1.0 - y2)
+               for w2, x2, y2 in rows]
+    return np.array(spectra).reshape(shape + (4,))
 
 
 def rho_diagonal(theta) -> np.ndarray:
-    """Diagonal density matrix for spectrum angles (t1, t2, t3)."""
-    return np.diag(spectrum_diagonal(theta).astype(complex))
+    """Diagonal density matrix for spectrum angles (t1, t2, t3); angles
+    (..., 3) give a (..., 4, 4) stack."""
+    spectrum = spectrum_diagonal(theta)
+    rho = np.zeros(spectrum.shape[:-1] + (16,), dtype=complex)
+    rho[..., ::5] = spectrum  # every fifth entry of a flat 4x4 is diagonal
+    return rho.reshape(spectrum.shape + (4,))
 
 
 def bloch_coefficients(theta) -> BlochCoefficients:
@@ -64,7 +78,7 @@ def bloch_coefficients(theta) -> BlochCoefficients:
     Cross-checks via Tr[rho_d lam_j / 2] that the twelve off-axis
     coefficients vanish (they must, rho_d being diagonal).
     """
-    w2, x2, y2 = _wxy_squared(theta)
+    _, [(w2, x2, y2)] = _wxy_squared(theta)
     coeffs = BlochCoefficients(
         w0=0.25,
         w3=0.5 * (-1.0 + 2.0 * w2) * x2 * y2,
@@ -83,11 +97,17 @@ def bloch_coefficients(theta) -> BlochCoefficients:
     return coeffs
 
 
+def conjugate(v: np.ndarray, theta) -> np.ndarray:
+    """V rho_d(theta) V^dagger; unitaries (..., 4, 4) and spectrum angles
+    (..., 3) give a stack equal, state by state, to the unstacked call."""
+    return v @ rho_diagonal(theta) @ v.conj().swapaxes(-1, -2)
+
+
 def rho_full(alphas, theta) -> np.ndarray:
     """General density matrix V rho_d V^dagger from the 12 conjugation
-    angles a1..a12 and the spectrum angles."""
-    v = compose(CONJUGATION_SEQUENCE, alphas)
-    return v @ rho_diagonal(theta) @ v.conj().T
+    angles a1..a12 and the spectrum angles; angles (..., 12) and (..., 3)
+    give a (..., 4, 4) stack."""
+    return conjugate(compose(CONJUGATION_SEQUENCE, alphas), theta)
 
 
 def spectrum_profile_check(theta) -> bool:

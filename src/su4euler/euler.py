@@ -81,15 +81,19 @@ def range_profile(group: str, kind: str) -> RangeProfile:
 
 
 def compose(generators, angles) -> np.ndarray:
-    """Ordered left-to-right product of exp(i lam_g a) factors."""
+    """Ordered left-to-right product of exp(i lam_g a) factors.
+
+    Angles of shape (..., n) give a (..., 4, 4) stack; each stacked matrix
+    equals the product composed from its own angle row, bit for bit.
+    """
     angles = np.asarray(angles, dtype=float)
-    if angles.shape != (len(generators),):
+    if angles.shape[-1:] != (len(generators),):
         raise ValueError(
             f"expected {len(generators)} angles, got shape {angles.shape}"
         )
     u = np.eye(4, dtype=complex)
-    for g, a in zip(generators, angles):
-        u = u @ exp_generator(g, a)
+    for k, g in enumerate(generators):
+        u = u @ exp_generator(g, angles[..., k])
     return u
 
 

@@ -208,9 +208,10 @@ def _monte_carlo_volume(group: str, samples: int, seed: int, workers: int):
 
     The estimator averages the factorized density at uniform draws and
     multiplies by the box volume and the exact trivial-axis lengths; the
-    standard error comes from the sample variance.  Worker w consumes the
-    sub-stream spawned from (seed, w), so the result depends only on
-    (seed, workers).
+    standard error comes from the sample variance.  workers counts RNG
+    sub-streams, drawn serially in this process: stream w is child w of
+    SeedSequence(seed) and draws a contiguous share of the samples, so the
+    result depends only on (seed, min(workers, samples)).
     """
     profile = range_profile(group, "volume")
     factors = _DENSITY_FACTORS[group]
@@ -224,14 +225,14 @@ def _monte_carlo_volume(group: str, samples: int, seed: int, workers: int):
             trivial *= hi - lo
     scale = _NORMALIZATION[group] * trivial * box
 
+    # Streams past the sample count would draw nothing.
+    workers = min(workers, samples)
     streams = np.random.SeedSequence(seed).spawn(workers)
     per = [samples // workers + (1 if w < samples % workers else 0)
            for w in range(workers)]
     total = 0.0
     total_sq = 0.0
     for stream, n_w in zip(streams, per):
-        if n_w == 0:
-            continue
         rng = np.random.default_rng(stream)
         u = rng.random((n_w, len(axes)))
         vals = np.ones(n_w)
@@ -251,7 +252,9 @@ def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
     center normalization.
 
     resolution is nodes per nontrivial axis (quadrature, >= 2) or the total
-    sample count (Monte Carlo, >= 1000).
+    sample count (Monte Carlo, >= 1000).  For Monte Carlo, workers counts
+    RNG sub-streams run serially in one process, and the estimate depends
+    only on (seed, min(workers, resolution)).
     """
     g = normalize_group(group)
     if method == "quadrature":

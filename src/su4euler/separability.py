@@ -5,6 +5,10 @@ negative eigenvalue, so the sign of the constant characteristic-polynomial
 coefficient d (the determinant) decides entanglement: d < 0 iff entangled.
 The quartic/resolvent-cubic eigenvalue path is kept alongside as the
 radical-formula route and is validated against the Hermitian eigensolver.
+
+classify is the one classification kernel and works on (..., 4, 4) stacks:
+scan and corner_scan feed it chunks of composed states, and is_entangled
+is its single-matrix case.
 """
 
 import cmath
@@ -14,14 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra import exp_generator
-from .density import (
-    CONJUGATION_SEQUENCE,
-    SPECTRUM_LOWER,
-    SPECTRUM_UPPER,
-    rho_full,
-    spectrum_diagonal,
-)
+from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
 from .errors import ConsistencyError, ValidationError
 from .euler import range_profile
 from .haar import sample_haar_angles
@@ -62,6 +59,16 @@ class SeparabilityVerdict:
     boundary: bool
 
 
+class Classification(NamedTuple):
+    """Per-state columns from classify, each shaped like the input stack."""
+
+    d: np.ndarray
+    min_eig: np.ndarray
+    neg_count: np.ndarray
+    entangled: np.ndarray
+    boundary: np.ndarray
+
+
 @dataclass(frozen=True)
 class ScanRecord:
     sample_index: int
@@ -99,19 +106,29 @@ def partial_transpose(rho: np.ndarray, subsystem: str = "B") -> np.ndarray:
 def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-13,
                             trace_tol: float = 1e-13,
                             psd_tol: float = 1e-12) -> None:
-    """Raise ValidationError naming the violated density-matrix invariant."""
+    """Raise ValidationError naming the violated density-matrix invariant.
+
+    Accepts one 4x4 matrix or a (..., 4, 4) stack; every state must pass
+    every check, and a failure in a stack names the first offending state.
+    """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValidationError(f"shape invariant violated: expected (4, 4), got {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise ValidationError(f"hermiticity invariant violated: residue {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"trace invariant violated: trace {tr:.17g}")
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -psd_tol:
-        raise ValidationError(f"positivity invariant violated: min eigenvalue {min_eig:.3e}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValidationError(
+            f"shape invariant violated: expected trailing (4, 4), got {rho.shape}")
+
+    def check(bad, message, values):
+        if np.count_nonzero(bad):
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            where = f" at state {tuple(map(int, first))}" if bad.ndim else ""
+            raise ValidationError(message.format(values[first]) + where)
+
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    check(herm > herm_tol, "hermiticity invariant violated: residue {:.3e}", herm)
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    check(abs(tr - 1.0) > trace_tol, "trace invariant violated: trace {:.17g}", tr)
+    min_eig = np.linalg.eigvalsh(rho)[..., 0]
+    check(min_eig < -psd_tol, "positivity invariant violated: min eigenvalue {:.3e}",
+          min_eig)
 
 
 def char_poly_coeffs(m: np.ndarray) -> CharPolyCoeffs:
@@ -229,24 +246,41 @@ def eigenvalues_via_resolvent(dq: DepressedQuartic) -> np.ndarray | None:
     return t + 0.25
 
 
-def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
-                 subsystem: str = "B") -> SeparabilityVerdict:
-    """Classify a two-qubit density matrix by the sign of d = det(rho^pt).
+def classify(rho: np.ndarray, tolerance: float = 1e-10,
+             subsystem: str = "B") -> Classification:
+    """Classify (..., 4, 4) density matrices by the sign of d = det(rho^pt).
 
-    Also records the minimum eigenvalue and negative-eigenvalue count of
-    the partial transpose for audit; these must agree with the d verdict
-    whenever |d| exceeds the tolerance.
+    Validates every state, then returns columns shaped like the stack: d by
+    Faddeev-LeVerrier, and the minimum eigenvalue and negative-eigenvalue
+    count of the partial transpose for audit.  The audit must agree with
+    the d verdict whenever |d| exceeds the tolerance.
     """
     validate_density_matrix(rho)
     pt = partial_transpose(rho, subsystem)
     d = char_poly_coeffs(pt).d
     eigs = np.linalg.eigvalsh(pt)
-    return SeparabilityVerdict(
+    return Classification(
+        d=d,
+        min_eig=eigs[..., 0],
+        neg_count=(eigs < -tolerance).sum(axis=-1),
         entangled=d < -tolerance,
-        d_value=d,
-        min_eigenvalue=float(eigs[0]),
-        negative_count=int(np.count_nonzero(eigs < -tolerance)),
         boundary=abs(d) <= tolerance,
+    )
+
+
+def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
+                 subsystem: str = "B") -> SeparabilityVerdict:
+    """Verdict for one two-qubit density matrix; see classify."""
+    if np.shape(rho) != (4, 4):
+        raise ValidationError(
+            f"shape invariant violated: expected (4, 4), got {np.shape(rho)}")
+    c = classify(rho, tolerance, subsystem)
+    return SeparabilityVerdict(
+        entangled=bool(c.entangled),
+        d_value=c.d,
+        min_eigenvalue=float(c.min_eig),
+        negative_count=int(c.neg_count),
+        boundary=bool(c.boundary),
     )
 
 
@@ -256,6 +290,23 @@ def _sample_thetas(rng: np.random.Generator, n: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((n, 3))
 
 
+# States per compose/conjugate/classify pass: bounds the working arrays
+# whatever the sample count.
+_CHUNK = 4096
+
+
+def _classify_records(alphas: np.ndarray, thetas: np.ndarray,
+                      tolerance: float) -> list:
+    """Records for states V(alphas) rho_d(thetas) V^dagger, row by row."""
+    parts = [classify(rho_full(alphas[i:i + _CHUNK], thetas[i:i + _CHUNK]),
+                      tolerance)
+             for i in range(0, len(alphas), _CHUNK)]
+    columns = (np.concatenate(col).tolist() for col in zip(*parts))
+    rows = zip(map(tuple, alphas.tolist()), map(tuple, thetas.tolist()),
+               *columns)
+    return [ScanRecord(i, *row) for i, row in enumerate(rows)]
+
+
 def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
          spectrum_policy="uniform", tolerance: float = 1e-10,
          workers: int = 1) -> list:
@@ -263,8 +314,15 @@ def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
 
     The 12 conjugation angles come from the Haar sampler restricted to
     a1..a12; spectrum angles are uniform over their profile unless
-    spectrum_policy is a fixed (t1, t2, t3) triple.  Record order follows
-    the sample index and is deterministic for a fixed (seed, workers).
+    spectrum_policy is a fixed (t1, t2, t3) triple.
+
+    workers counts RNG sub-streams, not processes: the samples are split
+    into min(workers, samples) contiguous blocks, block w drawn from child w
+    of SeedSequence(seed), all serially in this process.  Record order
+    follows the sample index, and the records depend only on
+    (seed, min(workers, samples)).  States are composed, conjugated and
+    classified in fixed chunks, so working memory beyond the records stays
+    bounded.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -277,82 +335,37 @@ def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
         if len(fixed_theta) != 3:
             raise ValueError("fixed spectrum policy needs three angles")
 
+    # A stream past the sample count would draw nothing; spawning it would
+    # still cost time and memory.
+    workers = min(workers, samples)
     streams = np.random.SeedSequence(seed).spawn(workers)
     counts = [samples // workers + (1 if w < samples % workers else 0)
               for w in range(workers)]
-    records = []
-    start = 0
+    alphas, thetas = [], []
     for stream, n_w in zip(streams, counts):
-        if n_w == 0:
-            continue
         rng = np.random.default_rng(stream)
-        alphas = sample_haar_angles(rng, profile, size=n_w)[:, :12]
+        alphas.append(sample_haar_angles(rng, profile, size=n_w)[:, :12])
         if fixed_theta is None:
-            thetas = _sample_thetas(rng, n_w)
-        else:
-            thetas = np.broadcast_to(fixed_theta, (n_w, 3))
-        for i in range(n_w):
-            verdict = is_entangled(rho_full(alphas[i], thetas[i]), tolerance)
-            records.append(ScanRecord(
-                sample_index=start + i,
-                alphas=tuple(alphas[i]),
-                thetas=tuple(thetas[i]),
-                d=verdict.d_value,
-                min_eig=verdict.min_eigenvalue,
-                neg_count=verdict.negative_count,
-                entangled=verdict.entangled,
-                boundary=verdict.boundary,
-            ))
-        start += n_w
-    return records
+            thetas.append(_sample_thetas(rng, n_w))
+    alphas = np.concatenate(alphas)
+    if fixed_theta is None:
+        thetas = np.concatenate(thetas)
+    else:
+        thetas = np.broadcast_to(fixed_theta, (samples, 3))
+    return _classify_records(alphas, thetas, tolerance)
 
 
 def corner_scan(tolerance: float = 1e-10) -> list:
     """Exhaustive classification at all 2^15 min/max parameter corners.
 
-    Bit b of the sample index selects the upper endpoint for parameter b
-    (a1..a12 then t1..t3).  Built in one batch; the classification path
-    (Faddeev-LeVerrier d plus eigensolver audit) matches is_entangled.
+    Sample index t * 4096 + m: bit b of m selects the upper endpoint of
+    a_{b+1} (b < 12), bit j of t the upper endpoint of t_{j+1}.  The corner
+    grid runs through the same kernel as scan.
     """
-    profile = range_profile("su4", "volume")
-    alpha_bounds = profile.bounds[:12]
-
-    factors = [[exp_generator(g, lo), exp_generator(g, hi)]
-               for g, (lo, hi) in zip(CONJUGATION_SEQUENCE, alpha_bounds)]
-    v_all = np.empty((4096, 4, 4), dtype=complex)
-    for m in range(4096):
-        u = np.eye(4, dtype=complex)
-        for pos in range(12):
-            u = u @ factors[pos][(m >> pos) & 1]
-        v_all[m] = u
-
-    theta_corners = np.array([
-        [(SPECTRUM_LOWER, SPECTRUM_UPPER)[(t >> j) & 1][j] for j in range(3)]
-        for t in range(8)
-    ])
-    spectra = np.stack([spectrum_diagonal(tc) for tc in theta_corners])
-
-    # rho[t, m] = V_m diag(s_t) V_m^dagger, flattened so index = t*4096 + m.
-    rho = np.einsum("mab,tb,mcb->tmac", v_all, spectra, v_all.conj())
-    rho = rho.reshape(-1, 4, 4)
-    pt = partial_transpose(rho)
-    d = char_poly_coeffs(pt).d
-    eigs = np.linalg.eigvalsh(pt)
-    neg = (eigs < -tolerance).sum(axis=1)
-
-    alpha_vals = np.array([[b[(m >> pos) & 1] for pos, b in enumerate(alpha_bounds)]
-                           for m in range(4096)])
-    records = []
-    for idx in range(32768):
-        t, m = divmod(idx, 4096)
-        records.append(ScanRecord(
-            sample_index=idx,
-            alphas=tuple(alpha_vals[m]),
-            thetas=tuple(theta_corners[t]),
-            d=float(d[idx]),
-            min_eig=float(eigs[idx, 0]),
-            neg_count=int(neg[idx]),
-            entangled=bool(d[idx] < -tolerance),
-            boundary=bool(abs(d[idx]) <= tolerance),
-        ))
-    return records
+    alpha_bounds = np.array(range_profile("su4", "volume").bounds[:12])
+    alpha_bits = (np.arange(4096)[:, None] >> np.arange(12)) & 1
+    theta_bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    alpha_corners = alpha_bounds[np.arange(12), alpha_bits]
+    theta_corners = np.where(theta_bits, SPECTRUM_UPPER, SPECTRUM_LOWER)
+    return _classify_records(np.tile(alpha_corners, (8, 1)),
+                             np.repeat(theta_corners, 4096, axis=0), tolerance)
