@@ -5,8 +5,8 @@ deterministic given its flags; the seed defaults to 0, never to the clock.
 Angles accept pi-literal arithmetic such as pi/4 or acos(1/sqrt(3)) so the
 tabulated interval endpoints can be entered exactly.
 
-Exit statuses: 0 success, 2 usage error, 3 input-validation failure,
-4 internal consistency error.
+Exit statuses: 0 success, 1 unreadable input or output file, 2 usage
+error, 3 input-validation failure, 4 internal consistency error.
 """
 
 import argparse
@@ -56,7 +56,8 @@ def _eval_expr(node, text):
             return lhs * rhs
         if isinstance(node.op, ast.Div):
             return lhs / rhs
-        return lhs**rhs
+        # math.pow, unlike **, raises on a complex result such as (-1)**0.5.
+        return math.pow(lhs, rhs)
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _ALLOWED_FUNCS and not node.keywords
             and len(node.args) == 1):
@@ -70,7 +71,11 @@ def parse_angle(text: str) -> float:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse angle expression {text!r}") from exc
-    return _eval_expr(tree.body, text)
+    try:
+        return _eval_expr(tree.body, text)
+    except ArithmeticError as exc:  # 1/0, 9**9**9, an int too large for a float
+        raise ValueError(
+            f"cannot evaluate angle expression {text!r}: {exc}") from exc
 
 
 def parse_angle_list(text: str, allowed_counts) -> list:
@@ -163,7 +168,14 @@ def cmd_basis(args) -> int:
 def cmd_volume(args) -> int:
     started = time.perf_counter() if args.timing else None
     method = {"quad": "quadrature", "mc": "monte_carlo"}[args.method]
-    resolution = args.nodes if method == "quadrature" else int(float(args.samples))
+    if method == "quadrature":
+        resolution = args.nodes
+    else:
+        samples = float(args.samples)
+        if not math.isfinite(samples):
+            raise ValueError(
+                f"Monte Carlo sample count must be finite, got {args.samples!r}")
+        resolution = int(samples)
     workers = args.workers if args.workers is not None else _default_workers()
     result = group_volume(args.group, method, resolution, seed=args.seed,
                           workers=workers)

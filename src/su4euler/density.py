@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import gell_mann
-from .errors import ConsistencyError
 from .euler import SU4_GENERATOR_SEQUENCE, compose
 
 CONJUGATION_SEQUENCE = SU4_GENERATOR_SEQUENCE[:12]
@@ -73,28 +72,14 @@ def rho_diagonal(theta) -> np.ndarray:
 
 
 def bloch_coefficients(theta) -> BlochCoefficients:
-    """Closed-form expansion coefficients of rho_d over {I, l3, l8, l15}.
-
-    Cross-checks via Tr[rho_d lam_j / 2] that the twelve off-axis
-    coefficients vanish (they must, rho_d being diagonal).
-    """
+    """Closed-form expansion coefficients of rho_d over {I, l3, l8, l15}."""
     _, [(w2, x2, y2)] = _wxy_squared(theta)
-    coeffs = BlochCoefficients(
+    return BlochCoefficients(
         w0=0.25,
         w3=0.5 * (-1.0 + 2.0 * w2) * x2 * y2,
         w8=(-2.0 + 3.0 * x2) * y2 / (2.0 * np.sqrt(3.0)),
         w15=(-3.0 + 4.0 * y2) / (2.0 * np.sqrt(6.0)),
     )
-    rd = rho_diagonal(theta)
-    for j in range(1, 16):
-        if j in (3, 8, 15):
-            continue
-        off_axis = abs(np.trace(rd @ gell_mann(j)) / 2.0)
-        if off_axis > 1e-13:
-            raise ConsistencyError(
-                f"diagonal state has off-axis component {off_axis:.3e} on lam_{j}"
-            )
-    return coeffs
 
 
 def conjugate(v: np.ndarray, theta) -> np.ndarray:

@@ -3,8 +3,8 @@
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (e.g. a quantity that must be real
-    carries a large imaginary residue, or a reconstructed polynomial does
-    not reproduce its source). Indicates a bug, not bad user input."""
+    carries a large imaginary residue). Indicates a bug, not bad user
+    input."""
 
 
 class ValidationError(ValueError):

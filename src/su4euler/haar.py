@@ -203,15 +203,32 @@ def _quadrature_volume(group: str, nodes: int) -> float:
     return total
 
 
+def split_streams(seed: int, workers: int, samples: int):
+    """RNG sub-streams for a seeded draw of samples values.
+
+    workers counts sub-streams, not processes: the samples split into
+    min(workers, samples) contiguous blocks, block w drawn from child w of
+    SeedSequence(seed).  Yields (generator, block size) in sample order, so
+    a draw depends only on (seed, min(workers, samples)).  A stream past the
+    sample count would draw nothing; spawning it would still cost time and
+    memory.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    workers = min(workers, samples)
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    return ((np.random.default_rng(stream),
+             samples // workers + (1 if w < samples % workers else 0))
+            for w, stream in enumerate(streams))
+
+
 def _monte_carlo_volume(group: str, samples: int, seed: int, workers: int):
     """Uniform-proposal Monte Carlo over the nontrivial axes.
 
     The estimator averages the factorized density at uniform draws and
     multiplies by the box volume and the exact trivial-axis lengths; the
-    standard error comes from the sample variance.  workers counts RNG
-    sub-streams, drawn serially in this process: stream w is child w of
-    SeedSequence(seed) and draws a contiguous share of the samples, so the
-    result depends only on (seed, min(workers, samples)).
+    standard error comes from the sample variance.  The draw is split into
+    RNG sub-streams by split_streams.
     """
     profile = range_profile(group, "volume")
     factors = _DENSITY_FACTORS[group]
@@ -225,15 +242,9 @@ def _monte_carlo_volume(group: str, samples: int, seed: int, workers: int):
             trivial *= hi - lo
     scale = _NORMALIZATION[group] * trivial * box
 
-    # Streams past the sample count would draw nothing.
-    workers = min(workers, samples)
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    per = [samples // workers + (1 if w < samples % workers else 0)
-           for w in range(workers)]
     total = 0.0
     total_sq = 0.0
-    for stream, n_w in zip(streams, per):
-        rng = np.random.default_rng(stream)
+    for rng, n_w in split_streams(seed, workers, samples):
         u = rng.random((n_w, len(axes)))
         vals = np.ones(n_w)
         for col, axis in enumerate(axes):
@@ -265,8 +276,6 @@ def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
     if method == "monte_carlo":
         if resolution < 1000:
             raise ValueError("Monte Carlo needs at least 1000 samples")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         est, se = _monte_carlo_volume(g, resolution, seed, workers)
         return VolumeResult(est, se, "monte_carlo", resolution, _NORMALIZATION[g])
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")

@@ -157,6 +157,19 @@ def test_monte_carlo_workers_capped_at_samples():
     assert capped == group_volume("su2", "monte_carlo", 1000, workers=1000)
 
 
+def test_split_streams_contiguous_blocks_from_spawned_children():
+    from su4euler.haar import split_streams
+
+    blocks = list(split_streams(3, 4, 10))
+    assert [n for _, n in blocks] == [3, 3, 2, 2]
+    children = np.random.SeedSequence(3).spawn(4)
+    for (rng, _), child in zip(blocks, children):
+        assert rng.random() == np.random.default_rng(child).random()
+    assert [n for _, n in split_streams(3, 10**12, 2)] == [1, 1]
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        split_streams(3, 0, 10)
+
+
 def test_cli_config_echoes_requested_workers(capsys):
     from su4euler.cli import main
 

@@ -125,6 +125,50 @@ def test_check_rejects_malformed_angle_expression():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("row,col", [(0, 0), (0, 2)])
+def test_check_rejects_nonfinite_matrix_entries(tmp_path, row, col):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[row, col] = np.nan
+    path = tmp_path / "nan.mat"
+    write_matrix_file(path, rho)
+    proc = run_cli("check", "--matrix", str(path))
+    assert proc.returncode == 3
+    assert "finiteness invariant violated" in proc.stderr.decode()
+
+
+def test_check_missing_matrix_file_exits_1(tmp_path):
+    proc = run_cli("check", "--matrix", str(tmp_path / "absent.mat"))
+    assert proc.returncode == 1
+    assert "absent.mat" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "--alpha", ZERO_ALPHA, "--theta", "pi/2,pi/2,pi/2",
+     "--tolerance", "-1"),
+    ("scan", "--samples", "5", "--tolerance", "nan"),
+])
+def test_bad_tolerance_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "tolerance must be finite and >= 0" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("expr", ["1/0", "9**9**9", "(-1)**0.5"])
+def test_check_angle_arithmetic_error_exits_2(expr):
+    proc = run_cli("check", "--alpha", expr + "," + ",".join(["0"] * 11),
+                   "--theta", LOWER_THETA)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("samples", ["1e400", "inf"])
+def test_volume_rejects_nonfinite_sample_count(samples):
+    proc = run_cli("volume", "--group", "su2", "--method", "mc",
+                   "--samples", samples)
+    assert proc.returncode == 2
+    assert f"sample count must be finite, got {samples!r}" in proc.stderr.decode()
+
+
 def test_scan_byte_identical_repeats():
     args = ("scan", "--samples", "50", "--seed", "1")
     first = run_cli(*args)
@@ -251,6 +295,21 @@ def test_version_flag():
 def test_angle_expression_parser(expr, value):
     from su4euler.cli import parse_angle
     assert abs(parse_angle(expr) - value) < 1e-15
+
+
+@pytest.mark.parametrize("expr", ["1/0", "9**9**9", "1" + "0" * 400 + "*pi"],
+                         ids=["zero-division", "overflow", "int-too-large"])
+def test_angle_expression_arithmetic_error_names_input(expr):
+    from su4euler.cli import parse_angle
+    with pytest.raises(ValueError, match="cannot evaluate angle expression"):
+        parse_angle(expr)
+
+
+def test_angle_expression_rejects_complex_power():
+    from su4euler.cli import parse_angle
+    with pytest.raises(ValueError):
+        parse_angle("(-1)**0.5")
+    assert parse_angle("(-2)**3") == -8.0
 
 
 def test_angle_expression_rejects_calls():

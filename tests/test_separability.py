@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from su4euler import (
     CharPolyCoeffs,
     ValidationError,
     char_poly_coeffs,
+    classify,
     corner_scan,
     depressed_quartic,
     eigenvalues_via_resolvent,
@@ -143,6 +145,21 @@ def test_depressed_quartic_requires_unit_trace():
         depressed_quartic(CharPolyCoeffs(-0.5, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e1, 1e2, 1e3, 1e4])
+def test_depressed_quartic_matches_polynomial_composition(scale):
+    # The shift identity: numpy's composition P(t + 1/4) must give
+    # t^4 + p t^2 + q t + r to a bound relative to the coefficient size.
+    # Known sets first: maximally mixed, pure, Bell partial transpose.
+    known = [(3 / 8, -1 / 16, 1 / 256), (0.0, 0.0, 0.0), (0.0, 1 / 4, -1 / 16)]
+    random_sets = scale * np.random.default_rng(17).standard_normal((400, 3))
+    shift = Polynomial([0.25, 1.0])
+    for b, c, d in [*known, *random_sets]:
+        dq = depressed_quartic(CharPolyCoeffs(-1.0, b, c, d))
+        composed = Polynomial([d, c, b, -1.0, 1.0])(shift).coef
+        bound = 1e-14 * max(1.0, abs(b), abs(c), abs(d))
+        assert np.abs(composed - [dq.r, dq.q, dq.p, 0.0, 1.0]).max() <= bound
+
+
 def test_depressed_quartic_roots_shifted():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -264,6 +281,33 @@ def test_is_entangled_validates_input():
         is_entangled(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
     with pytest.raises(ValidationError, match="shape"):
         validate_density_matrix(np.eye(3))
+
+
+@pytest.mark.parametrize("row,col", [(0, 0), (0, 2)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_nonfinite_entries(row, col, value):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[row, col] = value
+    with pytest.raises(ValidationError, match="finiteness invariant violated"):
+        is_entangled(rho)
+    stack = np.stack([np.eye(4, dtype=complex) / 4.0, rho])
+    with pytest.raises(ValidationError, match=r"finiteness.* at state \(1,\)"):
+        validate_density_matrix(stack)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
+def test_classify_rejects_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        is_entangled(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        scan(5, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        corner_scan(tolerance)
+
+
+def test_classify_accepts_zero_tolerance():
+    c = classify(np.eye(4, dtype=complex) / 4.0, tolerance=0.0)
+    assert not c.entangled and not c.boundary
 
 
 def test_sign_agreement_with_eigensolver():
