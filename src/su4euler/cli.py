@@ -11,6 +11,7 @@ error, 3 input-validation failure, 4 internal consistency error.
 
 import argparse
 import ast
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,8 @@ from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
 from .errors import ConsistencyError, ValidationError
 from .euler import compose_su4
 from .haar import analytic_volume, group_volume
-from .separability import corner_scan, is_entangled, scan
+from .separability import (classify_chunks, corner_angles, is_entangled,
+                           scan_angles)
 
 WORKERS_ENV = "SU4EULER_WORKERS"
 
@@ -57,12 +59,20 @@ def _eval_expr(node, text):
         if isinstance(node.op, ast.Div):
             return lhs / rhs
         # math.pow, unlike **, raises on a complex result such as (-1)**0.5.
-        return math.pow(lhs, rhs)
+        return _math_call(math.pow, lhs, rhs)
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _ALLOWED_FUNCS and not node.keywords
             and len(node.args) == 1):
-        return _ALLOWED_FUNCS[node.func.id](_eval_expr(node.args[0], text))
+        return _math_call(_ALLOWED_FUNCS[node.func.id],
+                          _eval_expr(node.args[0], text))
     raise ValueError(f"unsupported angle expression: {text!r}")
+
+
+def _math_call(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # math domain error: acos(2), (-1)**0.5
+        raise ArithmeticError(exc) from exc
 
 
 def parse_angle(text: str) -> float:
@@ -73,7 +83,7 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle expression {text!r}") from exc
     try:
         return _eval_expr(tree.body, text)
-    except ArithmeticError as exc:  # 1/0, 9**9**9, an int too large for a float
+    except ArithmeticError as exc:  # 1/0, 9**9**9, acos(2), an int too large
         raise ValueError(
             f"cannot evaluate angle expression {text!r}: {exc}") from exc
 
@@ -97,10 +107,6 @@ def load_matrix_file(path: str) -> np.ndarray:
     return data[:, 0::2] + 1j * data[:, 1::2]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _jsonable(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -119,6 +125,10 @@ def _jsonable(value):
     return value
 
 
+def _dump(body: dict) -> str:
+    return json.dumps(body, sort_keys=True, indent=2)
+
+
 def _emit_envelope(command, config, payload, timing_started=None):
     envelope = {
         "command": command,
@@ -128,7 +138,7 @@ def _emit_envelope(command, config, payload, timing_started=None):
     }
     if timing_started is not None:
         envelope["elapsed_seconds"] = time.perf_counter() - timing_started
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    print(_dump(envelope))
 
 
 def _default_workers() -> int:
@@ -229,59 +239,71 @@ _SCAN_HEADER = (
 )
 
 
-def _record_fields(rec) -> list:
-    return ([str(rec.sample_index)]
-            + [_fmt(a) for a in rec.alphas]
-            + [_fmt(t) for t in rec.thetas]
-            + [_fmt(rec.d), _fmt(rec.min_eig), str(rec.neg_count),
-               "entangled" if rec.entangled else "separable",
-               str(int(rec.boundary))])
+# A record as json.dumps(..., sort_keys=True, indent=2) prints it inside
+# "records": keys sorted, every value a string.
+_JSON_ORDER = sorted(range(len(_SCAN_HEADER)), key=_SCAN_HEADER.__getitem__)
+_JSON_RECORD = ("    {\n"
+                + ",\n".join(f'      "{_SCAN_HEADER[i]}": "%s"' for i in _JSON_ORDER)
+                + "\n    }")
 
 
-def _summary(records) -> dict:
-    entangled = sum(r.entangled for r in records)
-    boundary = sum(r.boundary for r in records)
-    return {
-        "total": len(records),
-        "entangled": entangled,
-        "boundary": boundary,
-        "separable": len(records) - entangled - boundary,
-    }
+def _scan_pieces(fmt: str, config: dict, chunks):
+    """Scan output text: one piece per classified chunk, then the tail.
+
+    Numbers print as repr() of Python floats.  The JSON bytes equal
+    json.dumps(sort_keys=True, indent=2) of the whole document.
+    """
+    if fmt == "csv":
+        head, sep = ",".join(_SCAN_HEADER) + "\n", "\n"
+        order, row = range(len(_SCAN_HEADER)), ",".join
+    else:
+        # The head and the tail are dumped as documents of their own, less
+        # the closing "\n}" and the opening "{\n" that join them.
+        head = _dump({"command": "scan", "config": _jsonable(config)})[:-2]
+        head, sep = head + ',\n  "records": [\n', ",\n"
+        order, row = _JSON_ORDER, _JSON_RECORD.__mod__
+    tally = np.zeros(3, dtype=int)  # total, entangled, boundary
+    for start, alphas, thetas, c in chunks:
+        floats = np.column_stack((alphas, thetas, c.d, c.min_eig)).T.tolist()
+        columns = ([map(str, range(start, start + len(alphas)))]
+                   + [map(repr, col) for col in floats]
+                   + [map(str, c.neg_count.tolist()),
+                      np.where(c.entangled, "entangled", "separable").tolist(),
+                      np.where(c.boundary, "1", "0").tolist()])
+        yield head + sep.join(map(row, zip(*(columns[i] for i in order))))
+        head = sep
+        tally += len(alphas), np.count_nonzero(c.entangled), np.count_nonzero(c.boundary)
+    total, entangled, boundary = tally.tolist()
+    summary = {"total": total, "entangled": entangled, "boundary": boundary,
+               "separable": total - entangled - boundary}
+    if fmt == "csv":
+        yield ("\n# summary separable={separable} entangled={entangled} "
+               "boundary={boundary} total={total}\n".format(**summary))
+    else:
+        yield "\n  ],\n" + _dump({"summary": summary, "version": __version__})[2:] + "\n"
 
 
 def cmd_scan(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     if args.corners:
-        records = corner_scan(args.tolerance)
+        alphas, thetas = corner_angles()
         config = {"mode": "corners", "tolerance": args.tolerance}
     else:
-        records = scan(args.samples, seed=args.seed, angle_profile=args.profile,
-                       tolerance=args.tolerance, workers=workers)
+        alphas, thetas = scan_angles(args.samples, seed=args.seed,
+                                     angle_profile=args.profile, workers=workers)
         config = {"mode": "random", "samples": args.samples, "seed": args.seed,
                   "profile": args.profile, "tolerance": args.tolerance,
                   "workers": workers}
-    summary = _summary(records)
-    if args.format == "csv":
-        lines = [",".join(_SCAN_HEADER)]
-        lines.extend(",".join(_record_fields(r)) for r in records)
-        lines.append("# summary separable={separable} entangled={entangled} "
-                     "boundary={boundary} total={total}".format(**summary))
-        text = "\n".join(lines) + "\n"
-    else:
-        body = {
-            "command": "scan",
-            "config": _jsonable(config),
-            "records": [dict(zip(_SCAN_HEADER, _record_fields(r)))
-                        for r in records],
-            "summary": summary,
-            "version": __version__,
-        }
-        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    pieces = _scan_pieces(args.format, config,
+                          classify_chunks(alphas, thetas, args.tolerance))
+    # Classify the first chunk before opening the output, so a bad
+    # tolerance or state leaves no file behind.
+    pieces = itertools.chain([next(pieces)], pieces)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -47,8 +47,14 @@ def _wxy_squared(theta):
     The squares are taken on Python floats, so they keep the rounding of
     pow(); numpy's array ``x**2`` is ``x*x``, which differs in the last bit
     on some inputs and would move d and the audit eigenvalues with it.
+    Raises ValueError naming the first state with a non-finite angle.
     """
-    sines = np.sin(np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        rows = theta.reshape(-1, 3)
+        bad = rows[~np.isfinite(rows).all(axis=1)][0]
+        raise ValueError(f"spectrum angles must be finite, got {tuple(bad.tolist())}")
+    sines = np.sin(theta)
     rows = [(t1**2, t2**2, t3**2) for t1, t2, t3 in sines.reshape(-1, 3).tolist()]
     return sines.shape[:-1], rows
 

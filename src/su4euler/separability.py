@@ -7,8 +7,9 @@ The quartic/resolvent-cubic eigenvalue path is kept alongside as the
 radical-formula route and is validated against the Hermitian eigensolver.
 
 classify is the one classification kernel and works on (..., 4, 4) stacks:
-scan and corner_scan feed it chunks of composed states, and is_entangled
-is its single-matrix case.
+classify_chunks feeds it chunks of composed states for scan, corner_scan
+and the CLI's streaming scan writer, and is_entangled is its single-matrix
+case.
 """
 
 import cmath
@@ -280,27 +281,54 @@ def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
     )
 
 
-def _sample_thetas(rng: np.random.Generator, n: int) -> np.ndarray:
-    lo = np.array(SPECTRUM_LOWER)
-    hi = np.array(SPECTRUM_UPPER)
-    return lo + (hi - lo) * rng.random((n, 3))
-
-
 # States per compose/conjugate/classify pass: bounds the working arrays
 # whatever the sample count.
 _CHUNK = 4096
 
 
-def _classify_records(alphas: np.ndarray, thetas: np.ndarray,
-                      tolerance: float) -> list:
-    """Records for states V(alphas) rho_d(thetas) V^dagger, row by row."""
-    parts = [classify(rho_full(alphas[i:i + _CHUNK], thetas[i:i + _CHUNK]),
-                      tolerance)
-             for i in range(0, len(alphas), _CHUNK)]
-    columns = (np.concatenate(col).tolist() for col in zip(*parts))
-    rows = zip(map(tuple, alphas.tolist()), map(tuple, thetas.tolist()),
-               *columns)
-    return [ScanRecord(i, *row) for i, row in enumerate(rows)]
+def classify_chunks(alphas: np.ndarray, thetas: np.ndarray, tolerance: float):
+    """Yield (start, alphas, thetas, Classification) for each chunk of
+    _CHUNK states V(alphas) rho_d(thetas) V^dagger, from sample index start."""
+    for start in range(0, len(alphas), _CHUNK):
+        a = alphas[start:start + _CHUNK]
+        t = thetas[start:start + _CHUNK]
+        yield start, a, t, classify(rho_full(a, t), tolerance)
+
+
+def _records(alphas: np.ndarray, thetas: np.ndarray, tolerance: float) -> list:
+    records = []
+    for start, a, t, c in classify_chunks(alphas, thetas, tolerance):
+        rows = zip(map(tuple, a.tolist()), map(tuple, t.tolist()),
+                   *(col.tolist() for col in c))
+        records.extend(ScanRecord(i, *row) for i, row in enumerate(rows, start))
+    return records
+
+
+def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
+                spectrum_policy="uniform", workers: int = 1) -> tuple:
+    """(alphas, thetas) of the states scan classifies, shaped (samples, 12)
+    and (samples, 3); see scan."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    profile = range_profile("su4", angle_profile)
+    fixed_theta = None
+    if not (isinstance(spectrum_policy, str) and spectrum_policy == "uniform"):
+        fixed_theta = tuple(float(t) for t in spectrum_policy)
+        if len(fixed_theta) != 3:
+            raise ValueError("fixed spectrum policy needs three angles")
+
+    alphas, thetas = [], []
+    lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
+    for rng, n_w in split_streams(seed, workers, samples):
+        alphas.append(sample_haar_angles(rng, profile, size=n_w)[:, :12])
+        if fixed_theta is None:
+            thetas.append(lo + (hi - lo) * rng.random((n_w, 3)))
+    alphas = np.concatenate(alphas)
+    if fixed_theta is None:
+        thetas = np.concatenate(thetas)
+    else:
+        thetas = np.broadcast_to(fixed_theta, (samples, 3))
+    return alphas, thetas
 
 
 def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
@@ -315,29 +343,22 @@ def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
     workers counts RNG sub-streams, drawn serially in this process (see
     haar.split_streams): record order follows the sample index, and the
     records depend only on (seed, min(workers, samples)).  States are
-    composed, conjugated and classified in fixed chunks, so working memory
-    beyond the records stays bounded.
+    composed, conjugated and classified in fixed chunks (classify_chunks).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    profile = range_profile("su4", angle_profile)
-    fixed_theta = None
-    if not (isinstance(spectrum_policy, str) and spectrum_policy == "uniform"):
-        fixed_theta = tuple(float(t) for t in spectrum_policy)
-        if len(fixed_theta) != 3:
-            raise ValueError("fixed spectrum policy needs three angles")
+    return _records(*scan_angles(samples, seed, angle_profile,
+                                 spectrum_policy, workers), tolerance)
 
-    alphas, thetas = [], []
-    for rng, n_w in split_streams(seed, workers, samples):
-        alphas.append(sample_haar_angles(rng, profile, size=n_w)[:, :12])
-        if fixed_theta is None:
-            thetas.append(_sample_thetas(rng, n_w))
-    alphas = np.concatenate(alphas)
-    if fixed_theta is None:
-        thetas = np.concatenate(thetas)
-    else:
-        thetas = np.broadcast_to(fixed_theta, (samples, 3))
-    return _classify_records(alphas, thetas, tolerance)
+
+def corner_angles() -> tuple:
+    """(alphas, thetas) of the 2^15 min/max parameter corners; see
+    corner_scan."""
+    alpha_bounds = np.array(range_profile("su4", "volume").bounds[:12])
+    alpha_bits = (np.arange(4096)[:, None] >> np.arange(12)) & 1
+    theta_bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    alpha_corners = alpha_bounds[np.arange(12), alpha_bits]
+    theta_corners = np.where(theta_bits, SPECTRUM_UPPER, SPECTRUM_LOWER)
+    return (np.tile(alpha_corners, (8, 1)),
+            np.repeat(theta_corners, 4096, axis=0))
 
 
 def corner_scan(tolerance: float = 1e-10) -> list:
@@ -347,10 +368,4 @@ def corner_scan(tolerance: float = 1e-10) -> list:
     a_{b+1} (b < 12), bit j of t the upper endpoint of t_{j+1}.  The corner
     grid runs through the same kernel as scan.
     """
-    alpha_bounds = np.array(range_profile("su4", "volume").bounds[:12])
-    alpha_bits = (np.arange(4096)[:, None] >> np.arange(12)) & 1
-    theta_bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
-    alpha_corners = alpha_bounds[np.arange(12), alpha_bits]
-    theta_corners = np.where(theta_bits, SPECTRUM_UPPER, SPECTRUM_LOWER)
-    return _classify_records(np.tile(alpha_corners, (8, 1)),
-                             np.repeat(theta_corners, 4096, axis=0), tolerance)
+    return _records(*corner_angles(), tolerance)

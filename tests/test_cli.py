@@ -153,12 +153,25 @@ def test_bad_tolerance_exits_2(args):
     assert "tolerance must be finite and >= 0" in proc.stderr.decode()
 
 
-@pytest.mark.parametrize("expr", ["1/0", "9**9**9", "(-1)**0.5"])
+@pytest.mark.parametrize("expr", ["1/0", "9**9**9", "(-1)**0.5", "acos(2)",
+                                  "sqrt(-1)"])
 def test_check_angle_arithmetic_error_exits_2(expr):
     proc = run_cli("check", "--alpha", expr + "," + ",".join(["0"] * 11),
                    "--theta", LOWER_THETA)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr.decode()
+    assert f"cannot evaluate angle expression {expr!r}" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command", ["rho", "check"])
+@pytest.mark.parametrize("alpha", [ZERO_ALPHA, ",".join(["0"] * 15)],
+                         ids=["12-angles", "15-angles"])
+def test_nonfinite_spectrum_angle_exits_2(command, alpha):
+    proc = run_cli(command, "--alpha", alpha, "--theta", "1e400,pi/2,pi/2")
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "spectrum angles must be finite, got (inf," in stderr
+    assert "Warning" not in stderr
 
 
 @pytest.mark.parametrize("samples", ["1e400", "inf"])
@@ -230,6 +243,14 @@ def test_scan_output_file(tmp_path):
     assert out.read_text().splitlines()[0].startswith("sample_index")
 
 
+def test_failed_scan_writes_no_output(tmp_path):
+    out = tmp_path / "records.csv"
+    proc = run_cli("scan", "--samples", "5", "--tolerance", "nan",
+                   "--output", str(out))
+    assert proc.returncode == 2
+    assert not out.exists()
+
+
 def test_scan_unwritable_output():
     proc = run_cli("scan", "--samples", "5", "--output", "/nonexistent/dir/x.csv")
     assert proc.returncode != 0
@@ -297,8 +318,10 @@ def test_angle_expression_parser(expr, value):
     assert abs(parse_angle(expr) - value) < 1e-15
 
 
-@pytest.mark.parametrize("expr", ["1/0", "9**9**9", "1" + "0" * 400 + "*pi"],
-                         ids=["zero-division", "overflow", "int-too-large"])
+@pytest.mark.parametrize("expr", ["1/0", "9**9**9", "1" + "0" * 400 + "*pi",
+                                  "acos(2)", "sqrt(-1)", "(-1)**0.5"],
+                         ids=["zero-division", "overflow", "int-too-large",
+                              "acos-domain", "sqrt-domain", "complex-power"])
 def test_angle_expression_arithmetic_error_names_input(expr):
     from su4euler.cli import parse_angle
     with pytest.raises(ValueError, match="cannot evaluate angle expression"):
@@ -310,6 +333,13 @@ def test_angle_expression_rejects_complex_power():
     with pytest.raises(ValueError):
         parse_angle("(-1)**0.5")
     assert parse_angle("(-2)**3") == -8.0
+
+
+def test_angle_expression_unsupported_error_not_wrapped():
+    from su4euler.cli import parse_angle
+    with pytest.raises(ValueError,
+                       match=r"^unsupported angle expression: 'sqrt\(foo\(1\)\)'$"):
+        parse_angle("sqrt(foo(1))")
 
 
 def test_angle_expression_rejects_calls():

@@ -1,5 +1,8 @@
 """Diagonal seed, Bloch decomposition, conjugated density matrices."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,20 @@ def test_spectrum_profile_check():
 def test_rho_full_angle_count():
     with pytest.raises(ValueError):
         rho_full(np.zeros(15), LOWER_CORNER)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_spectrum_angle_rejected_without_warning(bad):
+    theta = (np.pi / 2, bad, np.pi / 2)
+    stack = np.full((5, 3), 1.2)
+    stack[3, 2] = bad
+    message = "spectrum angles must be finite, got "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message + repr(theta))):
+            rho_full(np.zeros(12), theta)
+        with pytest.raises(ValueError, match=re.escape(message + repr(theta))):
+            bloch_coefficients(theta)
+        with pytest.raises(ValueError,
+                           match=re.escape(message + repr(tuple(stack[3].tolist())))):
+            rho_full(np.zeros((5, 12)), stack)
