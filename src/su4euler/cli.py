@@ -286,18 +286,18 @@ def _scan_pieces(fmt: str, config: dict, chunks):
 def cmd_scan(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     if args.corners:
-        alphas, thetas = corner_angles()
+        chunks = corner_angles()
         config = {"mode": "corners", "tolerance": args.tolerance}
     else:
-        alphas, thetas = scan_angles(args.samples, seed=args.seed,
-                                     angle_profile=args.profile, workers=workers)
+        chunks = scan_angles(args.samples, seed=args.seed,
+                             angle_profile=args.profile, workers=workers)
         config = {"mode": "random", "samples": args.samples, "seed": args.seed,
                   "profile": args.profile, "tolerance": args.tolerance,
                   "workers": workers}
     pieces = _scan_pieces(args.format, config,
-                          classify_chunks(alphas, thetas, args.tolerance))
-    # Classify the first chunk before opening the output, so a bad
-    # tolerance or state leaves no file behind.
+                          classify_chunks(chunks, args.tolerance))
+    # Draw and classify the first chunk before opening the output, so a bad
+    # sample count, tolerance or state leaves no file behind.
     pieces = itertools.chain([next(pieces)], pieces)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,6 +13,7 @@ case.
 """
 
 import cmath
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
 from .errors import ValidationError
 from .euler import range_profile
-from .haar import sample_haar_angles, split_streams
+from .haar import chunk_sizes, sample_haar_angles, split_streams
 
 
 class CharPolyCoeffs(NamedTuple):
@@ -281,23 +282,19 @@ def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
     )
 
 
-# States per compose/conjugate/classify pass: bounds the working arrays
-# whatever the sample count.
-_CHUNK = 4096
-
-
-def classify_chunks(alphas: np.ndarray, thetas: np.ndarray, tolerance: float):
-    """Yield (start, alphas, thetas, Classification) for each chunk of
-    _CHUNK states V(alphas) rho_d(thetas) V^dagger, from sample index start."""
-    for start in range(0, len(alphas), _CHUNK):
-        a = alphas[start:start + _CHUNK]
-        t = thetas[start:start + _CHUNK]
+def classify_chunks(chunks, tolerance: float):
+    """Yield (start, alphas, thetas, Classification) for each (alphas,
+    thetas) chunk of states V(alphas) rho_d(thetas) V^dagger, start being
+    the sample index of the chunk's first state."""
+    start = 0
+    for a, t in chunks:
         yield start, a, t, classify(rho_full(a, t), tolerance)
+        start += len(a)
 
 
-def _records(alphas: np.ndarray, thetas: np.ndarray, tolerance: float) -> list:
+def _records(chunks, tolerance: float) -> list:
     records = []
-    for start, a, t, c in classify_chunks(alphas, thetas, tolerance):
+    for start, a, t, c in classify_chunks(chunks, tolerance):
         rows = zip(map(tuple, a.tolist()), map(tuple, t.tolist()),
                    *(col.tolist() for col in c))
         records.extend(ScanRecord(i, *row) for i, row in enumerate(rows, start))
@@ -305,9 +302,19 @@ def _records(alphas: np.ndarray, thetas: np.ndarray, tolerance: float) -> list:
 
 
 def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
-                spectrum_policy="uniform", workers: int = 1) -> tuple:
-    """(alphas, thetas) of the states scan classifies, shaped (samples, 12)
-    and (samples, 3); see scan."""
+                spectrum_policy="uniform", workers: int = 1):
+    """Yield the (alphas, thetas) of the states scan classifies, in sample
+    order, as chunks of haar.CHUNK states (the last may be shorter) shaped
+    (n, 12) and (n, 3).
+
+    Each sub-stream of split_streams draws its n_w states piece by piece,
+    a chunk taking pieces from as many sub-streams as it spans: the 15 Haar
+    angles per state from the sub-stream's generator, and the uniform
+    spectrum angles from a copy of that generator advanced past the
+    sub-stream's 15 * n_w Haar doubles.  The draws therefore equal one Haar
+    draw of the whole block followed by one spectrum draw.  The arguments
+    are checked when the first chunk is requested.  See scan.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     profile = range_profile("su4", angle_profile)
@@ -317,18 +324,27 @@ def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
         if len(fixed_theta) != 3:
             raise ValueError("fixed spectrum policy needs three angles")
 
-    alphas, thetas = [], []
     lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
-    for rng, n_w in split_streams(seed, workers, samples):
-        alphas.append(sample_haar_angles(rng, profile, size=n_w)[:, :12])
+    streams = split_streams(seed, workers, samples)
+    left = 0  # states not yet drawn from the current sub-stream
+    for size in chunk_sizes(samples):
+        alphas, thetas = [], []
+        while size:
+            if not left:
+                rng, left = next(streams)
+                spectrum = np.random.Generator(
+                    copy.deepcopy(rng.bit_generator).advance(profile.dim * left))
+            n = min(size, left)
+            alphas.append(sample_haar_angles(rng, profile, size=n)[:, :12])
+            if fixed_theta is None:
+                thetas.append(lo + (hi - lo) * spectrum.random((n, 3)))
+            size -= n
+            left -= n
+        alphas = np.concatenate(alphas)
         if fixed_theta is None:
-            thetas.append(lo + (hi - lo) * rng.random((n_w, 3)))
-    alphas = np.concatenate(alphas)
-    if fixed_theta is None:
-        thetas = np.concatenate(thetas)
-    else:
-        thetas = np.broadcast_to(fixed_theta, (samples, 3))
-    return alphas, thetas
+            yield alphas, np.concatenate(thetas)
+        else:
+            yield alphas, np.broadcast_to(fixed_theta, (len(alphas), 3))
 
 
 def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
@@ -343,22 +359,22 @@ def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
     workers counts RNG sub-streams, drawn serially in this process (see
     haar.split_streams): record order follows the sample index, and the
     records depend only on (seed, min(workers, samples)).  States are
-    composed, conjugated and classified in fixed chunks (classify_chunks).
+    drawn, composed, conjugated and classified in chunks of at most
+    haar.CHUNK states (scan_angles, classify_chunks).
     """
-    return _records(*scan_angles(samples, seed, angle_profile,
-                                 spectrum_policy, workers), tolerance)
+    return _records(scan_angles(samples, seed, angle_profile,
+                                spectrum_policy, workers), tolerance)
 
 
-def corner_angles() -> tuple:
-    """(alphas, thetas) of the 2^15 min/max parameter corners; see
-    corner_scan."""
+def corner_angles():
+    """Yield the (alphas, thetas) of the 2^15 min/max parameter corners as
+    eight chunks of 4096 states, one per spectrum corner; see corner_scan."""
     alpha_bounds = np.array(range_profile("su4", "volume").bounds[:12])
     alpha_bits = (np.arange(4096)[:, None] >> np.arange(12)) & 1
     theta_bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
     alpha_corners = alpha_bounds[np.arange(12), alpha_bits]
-    theta_corners = np.where(theta_bits, SPECTRUM_UPPER, SPECTRUM_LOWER)
-    return (np.tile(alpha_corners, (8, 1)),
-            np.repeat(theta_corners, 4096, axis=0))
+    for theta in np.where(theta_bits, SPECTRUM_UPPER, SPECTRUM_LOWER):
+        yield alpha_corners, np.broadcast_to(theta, (4096, 3))
 
 
 def corner_scan(tolerance: float = 1e-10) -> list:
@@ -368,4 +384,4 @@ def corner_scan(tolerance: float = 1e-10) -> list:
     a_{b+1} (b < 12), bit j of t the upper endpoint of t_{j+1}.  The corner
     grid runs through the same kernel as scan.
     """
-    return _records(*corner_angles(), tolerance)
+    return _records(corner_angles(), tolerance)

@@ -182,6 +182,14 @@ def test_volume_rejects_nonfinite_sample_count(samples):
     assert f"sample count must be finite, got {samples!r}" in proc.stderr.decode()
 
 
+def test_volume_rejects_too_many_nodes():
+    proc = run_cli("volume", "--group", "su2", "--method", "quad",
+                   "--nodes", "1000000")
+    assert proc.returncode == 2
+    assert "2 to 1024 nodes per axis, got 1000000" in proc.stderr.decode()
+    assert "Traceback" not in proc.stderr.decode()
+
+
 def test_scan_byte_identical_repeats():
     args = ("scan", "--samples", "50", "--seed", "1")
     first = run_cli(*args)
@@ -248,6 +256,14 @@ def test_failed_scan_writes_no_output(tmp_path):
     proc = run_cli("scan", "--samples", "5", "--tolerance", "nan",
                    "--output", str(out))
     assert proc.returncode == 2
+    assert not out.exists()
+
+
+def test_scan_bad_sample_count_writes_no_output(tmp_path):
+    out = tmp_path / "records.csv"
+    proc = run_cli("scan", "--samples", "0", "--output", str(out))
+    assert proc.returncode == 2
+    assert "samples must be >= 1" in proc.stderr.decode()
     assert not out.exists()
 
 

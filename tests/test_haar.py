@@ -146,6 +146,16 @@ def test_volume_resolution_validation():
         group_volume("su4", "midpoint", 10)
 
 
+def test_quadrature_node_count_bounded():
+    assert group_volume("su2", "quadrature", 1024).estimate == pytest.approx(
+        analytic_volume("su2"), rel=1e-12)
+    with pytest.raises(ValueError, match="2 to 1024 nodes per axis, got 1025"):
+        group_volume("su2", "quadrature", 1025)
+    # Refused before the 10^6 x 10^6 companion matrix is allocated.
+    with pytest.raises(ValueError, match="2 to 1024 nodes"):
+        group_volume("su4", "quadrature", 10**6)
+
+
 def test_su2_covering_ranges_absorb_center_factor():
     # Doubling xi doubles the bare integral, exactly absorbing the center
     # factor 2: integrating sin(2 nu) over the covering box with no
