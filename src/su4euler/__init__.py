@@ -66,6 +66,8 @@ from .separability import (
     SeparabilityVerdict,
     char_poly_coeffs,
     classify,
+    classify_chunks,
+    corner_angles,
     corner_scan,
     depressed_quartic,
     eigenvalues_via_resolvent,
@@ -73,5 +75,6 @@ from .separability import (
     partial_transpose,
     resolvent_roots,
     scan,
+    scan_angles,
     validate_density_matrix,
 )

@@ -78,14 +78,14 @@ def _math_call(fn, *args):
 def parse_angle(text: str) -> float:
     """Evaluate a pi-literal arithmetic expression to a float."""
     try:
-        tree = ast.parse(text.strip(), mode="eval")
+        return _eval_expr(ast.parse(text.strip(), mode="eval").body, text)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse angle expression {text!r}") from exc
-    try:
-        return _eval_expr(tree.body, text)
     except ArithmeticError as exc:  # 1/0, 9**9**9, acos(2), an int too large
         raise ValueError(
             f"cannot evaluate angle expression {text!r}: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:  # thousands of nested operators
+        raise ValueError(f"angle expression nested too deeply: {text!r}") from exc
 
 
 def parse_angle_list(text: str, allowed_counts) -> list:
@@ -107,33 +107,24 @@ def load_matrix_file(path: str) -> np.ndarray:
     return data[:, 0::2] + 1j * data[:, 1::2]
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _dump(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, indent=2)
+    def default(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, complex):
+            return [value.real, value.imag]
+        if isinstance(value, (np.bool_, np.integer)):
+            return value.item()
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    return json.dumps(body, sort_keys=True, indent=2, default=default)
 
 
 def _emit_envelope(command, config, payload, timing_started=None):
     envelope = {
         "command": command,
-        "config": _jsonable(config),
-        "payload": _jsonable(payload),
+        "config": config,
+        "payload": payload,
         "version": __version__,
     }
     if timing_started is not None:
@@ -259,7 +250,7 @@ def _scan_pieces(fmt: str, config: dict, chunks):
     else:
         # The head and the tail are dumped as documents of their own, less
         # the closing "\n}" and the opening "{\n" that join them.
-        head = _dump({"command": "scan", "config": _jsonable(config)})[:-2]
+        head = _dump({"command": "scan", "config": config})[:-2]
         head, sep = head + ',\n  "records": [\n', ",\n"
         order, row = _JSON_ORDER, _JSON_RECORD.__mod__
     tally = np.zeros(3, dtype=int)  # total, entangled, boundary
@@ -312,7 +303,7 @@ def cmd_rho(args) -> int:
     rho, thetas, alphas = _rho_from_args(args)
     coeffs = bloch_coefficients(thetas)
     payload = {
-        "rho": [[_jsonable(complex(z)) for z in row] for row in rho],
+        "rho": rho,
         "eigenvalues": np.linalg.eigvalsh(rho),
         "spectrum": spectrum_diagonal(thetas),
         "bloch": {"w0": coeffs.w0, "w3": coeffs.w3, "w8": coeffs.w8,

@@ -2,9 +2,9 @@
 
 
 class ConsistencyError(RuntimeError):
-    """An internal cross-check failed (e.g. a quantity that must be real
-    carries a large imaginary residue). Indicates a bug, not bad user
-    input."""
+    """An internal cross-check failed (e.g. the structure-constant table,
+    built once at import, carries an imaginary residue above 1e-12).
+    Indicates a bug, not bad user input."""
 
 
 class ValidationError(ValueError):

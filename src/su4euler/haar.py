@@ -13,7 +13,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import exp_generator, gell_mann
-from .errors import ConsistencyError
 from .euler import (
     RangeProfile,
     SU3_GENERATOR_SEQUENCE,
@@ -150,8 +149,8 @@ def _one_form_coefficients(generators, angles, basis_indices) -> np.ndarray:
         M_k = E^L (i lam_{g(k)}^T) E^{-L},
 
     with E^L the cached product of the transposed factors above k.  Rows are
-    extracted by the trace pairing c_kj = (-i/2) Tr[lam_j^T M_k]; the
-    coefficients are real, and any imaginary residue above 1e-12 aborts.
+    extracted by the trace pairing c_kj = (-i/2) Tr[lam_j^T M_k], which is
+    real because M_k is anti-Hermitian; the real part is kept.
     """
     angles = np.asarray(angles, dtype=float)
     n = len(generators)
@@ -165,13 +164,7 @@ def _one_form_coefficients(generators, angles, basis_indices) -> np.ndarray:
     for k in range(n, 0, -1):
         g = generators[k - 1]
         m_k = prefix @ (1j * gell_mann(g).T) @ prefix.conj().T
-        row = -0.5j * np.einsum("jab,ba->j", lam_t, m_k)
-        residue = np.abs(row.imag).max()
-        if residue > 1e-12:
-            raise ConsistencyError(
-                f"one-form row {k} has imaginary residue {residue:.3e} > 1e-12"
-            )
-        c[k - 1] = row.real
+        c[k - 1] = (-0.5j * np.einsum("jab,ba->j", lam_t, m_k)).real
         prefix = prefix @ exp_generator(g, angles[k - 1]).T
     return c
 

@@ -6,10 +6,10 @@ coefficient d (the determinant) decides entanglement: d < 0 iff entangled.
 The quartic/resolvent-cubic eigenvalue path is kept alongside as the
 radical-formula route and is validated against the Hermitian eigensolver.
 
-classify is the one classification kernel and works on (..., 4, 4) stacks:
-classify_chunks feeds it chunks of composed states for scan, corner_scan
-and the CLI's streaming scan writer, and is_entangled is its single-matrix
-case.
+classify is the one classification kernel and works on (..., 4, 4) stacks.
+It and is_entangled, its single-matrix case, validate the caller's matrices;
+classify_chunks (scan, corner_scan, the CLI's streaming scan writer) builds
+its states from angles, valid by construction, and skips that check.
 """
 
 import cmath
@@ -241,19 +241,7 @@ def eigenvalues_via_resolvent(dq: DepressedQuartic) -> np.ndarray | None:
     return t + 0.25
 
 
-def classify(rho: np.ndarray, tolerance: float = 1e-10,
-             subsystem: str = "B") -> Classification:
-    """Classify (..., 4, 4) density matrices by the sign of d = det(rho^pt).
-
-    Validates the tolerance (finite, >= 0) and every state, then returns
-    columns shaped like the stack: d by Faddeev-LeVerrier, and the minimum
-    eigenvalue and negative-eigenvalue count of the partial transpose for
-    audit.  The audit must agree with the d verdict whenever |d| exceeds
-    the tolerance.
-    """
-    if not 0.0 <= tolerance < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    validate_density_matrix(rho)
+def _classify(rho: np.ndarray, tolerance: float, subsystem: str) -> Classification:
     pt = partial_transpose(rho, subsystem)
     d = char_poly_coeffs(pt).d
     eigs = np.linalg.eigvalsh(pt)
@@ -264,6 +252,26 @@ def classify(rho: np.ndarray, tolerance: float = 1e-10,
         entangled=d < -tolerance,
         boundary=abs(d) <= tolerance,
     )
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def classify(rho: np.ndarray, tolerance: float = 1e-10,
+             subsystem: str = "B") -> Classification:
+    """Classify (..., 4, 4) density matrices by the sign of d = det(rho^pt).
+
+    Validates the tolerance (finite, >= 0) and every caller state, then
+    returns columns shaped like the stack: d by Faddeev-LeVerrier, and the
+    minimum eigenvalue and negative-eigenvalue count of the partial
+    transpose for audit.  The audit must agree with the d verdict whenever
+    |d| exceeds the tolerance.
+    """
+    _check_tolerance(tolerance)
+    validate_density_matrix(rho)
+    return _classify(rho, tolerance, subsystem)
 
 
 def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
@@ -285,10 +293,14 @@ def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
 def classify_chunks(chunks, tolerance: float):
     """Yield (start, alphas, thetas, Classification) for each (alphas,
     thetas) chunk of states V(alphas) rho_d(thetas) V^dagger, start being
-    the sample index of the chunk's first state."""
+    the sample index of the chunk's first state.  The tolerance is checked
+    once; rho_full rejects non-finite angles, and the states it builds from
+    finite ones are valid by construction, so validate_density_matrix and
+    its eigensolver are skipped."""
+    _check_tolerance(tolerance)
     start = 0
     for a, t in chunks:
-        yield start, a, t, classify(rho_full(a, t), tolerance)
+        yield start, a, t, _classify(rho_full(a, t), tolerance, "B")
         start += len(a)
 
 

@@ -1,0 +1,78 @@
+"""Validation at the boundary: caller matrices are checked, states built
+from angles are valid by construction and skip the check."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from su4euler import (
+    SPECTRUM_LOWER,
+    SPECTRUM_UPPER,
+    ValidationError,
+    classify,
+    classify_chunks,
+    cli,
+    corner_angles,
+    corner_scan,
+    is_entangled,
+    rho_full,
+    scan,
+    scan_angles,
+    separability,
+    validate_density_matrix,
+)
+
+SPECTRUM_EDGES = list(itertools.product(*zip(SPECTRUM_LOWER, SPECTRUM_UPPER)))
+
+
+def run_angle_paths(capsys):
+    """Outputs of every route that classifies states built from angles."""
+    records = scan(4100, seed=3, workers=2)
+    corners = corner_scan()
+    chunks = [(start, a.tolist(), t.tolist(), [col.tolist() for col in c])
+              for start, a, t, c in classify_chunks(
+                  scan_angles(300, seed=5, angle_profile="covering"), 1e-4)]
+    assert cli.main(["scan", "--samples", "300", "--seed", "2",
+                     "--format", "json"]) == 0
+    return records, corners, chunks, capsys.readouterr().out
+
+
+def test_angle_built_states_skip_validation(monkeypatch, capsys):
+    expected = run_angle_paths(capsys)
+    calls = []
+
+    def refuse(rho, *args, **kwargs):
+        calls.append(np.shape(rho))
+        raise ValidationError("refused by the test")
+
+    monkeypatch.setattr(separability, "validate_density_matrix", refuse)
+    assert run_angle_paths(capsys) == expected
+    assert calls == []
+
+    rho = np.eye(4, dtype=complex) / 4.0
+    with pytest.raises(ValidationError, match="refused by the test"):
+        classify(rho)
+    with pytest.raises(ValidationError, match="refused by the test"):
+        is_entangled(rho)
+    assert calls == [(4, 4), (4, 4)]
+
+
+def assert_valid(chunks):
+    for alphas, thetas in chunks:
+        validate_density_matrix(rho_full(alphas, thetas))
+
+
+def test_corner_states_pass_validation():
+    assert_valid(corner_angles())
+
+
+@pytest.mark.parametrize("profile", ["volume", "covering"])
+def test_haar_states_pass_validation(profile):
+    # 5000 states span the 4096-state chunk boundary.
+    assert_valid(scan_angles(5000, seed=11, angle_profile=profile))
+
+
+@pytest.mark.parametrize("theta", SPECTRUM_EDGES + [(1.0, 1.1, 1.2)])
+def test_fixed_spectrum_states_pass_validation(theta):
+    assert_valid(scan_angles(500, seed=12, spectrum_policy=theta))

@@ -344,6 +344,16 @@ def test_angle_expression_arithmetic_error_names_input(expr):
         parse_angle(expr)
 
 
+@pytest.mark.parametrize("depth", [1200, 100000])
+def test_deeply_nested_angle_expression_exits_2(depth):
+    alpha = "-" * depth + "1," + ",".join(["0"] * 11)
+    proc = run_cli("check", f"--alpha={alpha}", "--theta", "1,1,1")
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in stderr
+    assert "angle expression" in stderr
+
+
 def test_angle_expression_rejects_complex_power():
     from su4euler.cli import parse_angle
     with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from scipy import stats
 from su4euler import (
     SU4_GENERATOR_SEQUENCE,
     analytic_volume,
+    compose_su3,
     compose_su4,
+    gell_mann,
     group_volume,
     haar_density,
     haar_density_su2,
@@ -59,6 +61,33 @@ def test_one_form_su3_matches_su3_density():
         det = abs(np.linalg.det(one_form_matrix_su3(point)))
         density = haar_density_su3(point)
         assert abs(det - density) <= 1e-8 * abs(density)
+
+
+def one_form_by_differences(compose_fn, point, basis, h=1e-6):
+    """Rows c_kj with U^dagger dU/da_k = i sum_j c_kj lam_j, by central
+    differences of the composed matrix; complex, so residues show."""
+    u = compose_fn(point)
+    rows = []
+    for k in range(len(point)):
+        step = np.zeros(len(point))
+        step[k] = h
+        x = u.conj().T @ (compose_fn(point + step) - compose_fn(point - step)) / (2 * h)
+        rows.append([-0.5j * np.trace(gell_mann(j) @ x) for j in basis])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["volume", "covering"])
+@pytest.mark.parametrize("group,compose_fn,one_form,basis", [
+    ("su4", compose_su4, one_form_matrix, range(1, 16)),
+    ("su3", compose_su3, one_form_matrix_su3, range(1, 9)),
+], ids=["su4", "su3"])
+def test_one_form_rows_match_finite_differences(kind, group, compose_fn,
+                                                one_form, basis):
+    profile = range_profile(group, kind)
+    for point in uniform_points(24, 10, profile):
+        rows = one_form_by_differences(compose_fn, point, basis)
+        assert np.abs(rows.imag).max() <= 1e-8
+        assert np.abs(rows.real - one_form(point)).max() <= 1e-8
 
 
 def test_density_vanishing_factor():
