@@ -14,6 +14,7 @@ import ast
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -36,7 +37,10 @@ _ALLOWED_FUNCS = {
     "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "asin": math.asin, "acos": math.acos, "atan": math.atan,
 }
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+# math.pow, unlike **, raises on a complex result such as (-1)**0.5.
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.Pow: math.pow}
 
 
 def _eval_expr(node, text):
@@ -44,28 +48,22 @@ def _eval_expr(node, text):
         return float(node.value)
     if isinstance(node, ast.Name) and node.id in _ALLOWED_NAMES:
         return _ALLOWED_NAMES[node.id]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        val = _eval_expr(node.operand, text)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        lhs = _eval_expr(node.left, text)
-        rhs = _eval_expr(node.right, text)
-        if isinstance(node.op, ast.Add):
-            return lhs + rhs
-        if isinstance(node.op, ast.Sub):
-            return lhs - rhs
-        if isinstance(node.op, ast.Mult):
-            return lhs * rhs
-        if isinstance(node.op, ast.Div):
-            return lhs / rhs
-        # math.pow, unlike **, raises on a complex result such as (-1)**0.5.
-        return _math_call(math.pow, lhs, rhs)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_expr(node.operand, text))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _math_call(_BINARY_OPS[type(node.op)], _eval_expr(node.left, text),
+                          _eval_expr(node.right, text))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _ALLOWED_FUNCS and not node.keywords
             and len(node.args) == 1):
         return _math_call(_ALLOWED_FUNCS[node.func.id],
                           _eval_expr(node.args[0], text))
-    raise ValueError(f"unsupported angle expression: {text!r}")
+    raise ValueError(f"unsupported angle expression: {_shown(text)}")
+
+
+def _shown(text: str) -> str:
+    """repr of an input for an error message, cut to 60 characters."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}… ({len(text)} chars)"
 
 
 def _math_call(fn, *args):
@@ -80,12 +78,12 @@ def parse_angle(text: str) -> float:
     try:
         return _eval_expr(ast.parse(text.strip(), mode="eval").body, text)
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse angle expression {text!r}") from exc
+        raise ValueError(f"cannot parse angle expression {_shown(text)}") from exc
     except ArithmeticError as exc:  # 1/0, 9**9**9, acos(2), an int too large
         raise ValueError(
-            f"cannot evaluate angle expression {text!r}: {exc}") from exc
+            f"cannot evaluate angle expression {_shown(text)}: {exc}") from exc
     except (RecursionError, MemoryError) as exc:  # thousands of nested operators
-        raise ValueError(f"angle expression nested too deeply: {text!r}") from exc
+        raise ValueError(f"angle expression nested too deeply: {_shown(text)}") from exc
 
 
 def parse_angle_list(text: str, allowed_counts) -> list:
@@ -133,7 +131,13 @@ def _emit_envelope(command, config, payload, timing_started=None):
 
 
 def _default_workers() -> int:
-    return int(os.environ.get(WORKERS_ENV, "1"))
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {_shown(text)}")
 
 
 def _rho_from_args(args) -> tuple:

@@ -7,7 +7,8 @@ The diagonal seed is
 with w^2 = sin^2(t1), x^2 = sin^2(t2), y^2 = sin^2(t3); its trace
 telescopes to 1 for any angles.  A general state is V rho_d V^dagger where
 V is the truncated 12-factor Euler product: the trailing l3/l8/l15 factors
-commute with the diagonal and drop out.
+commute with the diagonal and drop out.  Each layer is one array expression
+over stacked angles; conjugation scales V's columns instead of building rho_d.
 """
 
 from dataclasses import dataclass
@@ -40,46 +41,38 @@ class BlochCoefficients:
                 + self.w15 * gell_mann(15))
 
 
-def _wxy_squared(theta):
-    """(w2, x2, y2) = sin^2 of each state's spectrum angles, as Python
-    floats, for a (..., 3) angle array; returns (leading shape, rows).
+def _sin_squared(theta) -> np.ndarray:
+    """(w2, x2, y2) = sin^2 of (..., 3) spectrum angles, elementwise.
 
-    The squares are taken on Python floats, so they keep the rounding of
-    pow(); numpy's array ``x**2`` is ``x*x``, which differs in the last bit
-    on some inputs and would move d and the audit eigenvalues with it.
-    Raises ValueError naming the first state with a non-finite angle.
+    float_power squares through the C library pow(), as Python's t**2 does;
+    numpy's np.power(s, 2) and s*s differ from pow() in the last bit on some
+    inputs and would move d and the audit eigenvalues with them.  Raises
+    ValueError naming the first state with a non-finite angle.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         rows = theta.reshape(-1, 3)
         bad = rows[~np.isfinite(rows).all(axis=1)][0]
         raise ValueError(f"spectrum angles must be finite, got {tuple(bad.tolist())}")
-    sines = np.sin(theta)
-    rows = [(t1**2, t2**2, t3**2) for t1, t2, t3 in sines.reshape(-1, 3).tolist()]
-    return sines.shape[:-1], rows
+    return np.float_power(np.sin(theta), 2)
 
 
 def spectrum_diagonal(theta) -> np.ndarray:
-    """Eigenvalue 4-vector (w2 x2 y2, (1-w2) x2 y2, (1-x2) y2, 1-y2);
-    spectrum angles (..., 3) give (..., 4)."""
-    shape, rows = _wxy_squared(theta)
-    spectra = [(w2 * x2 * y2, (1.0 - w2) * x2 * y2, (1.0 - x2) * y2, 1.0 - y2)
-               for w2, x2, y2 in rows]
-    return np.array(spectra).reshape(shape + (4,))
+    """Eigenvalue 4-vector (w2 x2 y2, (1-w2) x2 y2, (1-x2) y2, 1-y2), rounded
+    as on Python floats; spectrum angles (..., 3) give (..., 4)."""
+    w2, x2, y2 = np.moveaxis(_sin_squared(theta), -1, 0)
+    return np.stack([w2 * x2 * y2, (1.0 - w2) * x2 * y2, (1.0 - x2) * y2, 1.0 - y2], -1)
 
 
 def rho_diagonal(theta) -> np.ndarray:
     """Diagonal density matrix for spectrum angles (t1, t2, t3); angles
     (..., 3) give a (..., 4, 4) stack."""
-    spectrum = spectrum_diagonal(theta)
-    rho = np.zeros(spectrum.shape[:-1] + (16,), dtype=complex)
-    rho[..., ::5] = spectrum  # every fifth entry of a flat 4x4 is diagonal
-    return rho.reshape(spectrum.shape + (4,))
+    return spectrum_diagonal(theta)[..., None] * np.eye(4, dtype=complex)
 
 
 def bloch_coefficients(theta) -> BlochCoefficients:
     """Closed-form expansion coefficients of rho_d over {I, l3, l8, l15}."""
-    _, [(w2, x2, y2)] = _wxy_squared(theta)
+    [(w2, x2, y2)] = _sin_squared(theta).reshape(-1, 3).tolist()
     return BlochCoefficients(
         w0=0.25,
         w3=0.5 * (-1.0 + 2.0 * w2) * x2 * y2,
@@ -89,9 +82,13 @@ def bloch_coefficients(theta) -> BlochCoefficients:
 
 
 def conjugate(v: np.ndarray, theta) -> np.ndarray:
-    """V rho_d(theta) V^dagger; unitaries (..., 4, 4) and spectrum angles
-    (..., 3) give a stack equal, state by state, to the unstacked call."""
-    return v @ rho_diagonal(theta) @ v.conj().swapaxes(-1, -2)
+    """V rho_d(theta) V^dagger, as (V scaled by the spectrum per column)
+    V^dagger; unitaries (..., 4, 4) and spectrum angles (..., 3) give a stack
+    equal, state by state, to the unstacked call.  The off-diagonal zeros of
+    rho_d add only exact zeros to V rho_d, so skipping them moves no bit,
+    signed zeros included."""
+    v = np.asarray(v, dtype=complex)
+    return (v * spectrum_diagonal(theta)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def rho_full(alphas, theta) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import exp_generator, gell_mann
+from .algebra import exp_generator, gell_mann_stack
 from .euler import (
     RangeProfile,
     SU3_GENERATOR_SEQUENCE,
@@ -140,17 +140,16 @@ def haar_density_su2(angles) -> np.ndarray | float:
     return _density("su2", angles)
 
 
-def _one_form_coefficients(generators, angles, basis_indices) -> np.ndarray:
-    """Expansion coefficients c_kj of the invariant one-forms.
+def _one_form_coefficients(generators, angles) -> np.ndarray:
+    """Coefficients c_kj of the invariant one-forms of the chain
+    U = F_1 ... F_n, F_k = exp(i a_k lam_{g(k)}), over lam_1..lam_n.
 
-    Works on the transposed factor chain u = U^T: for parameter k the
-    derivative matrix is the exact conjugation
+    With S = F_{k+1} ... F_n, built from the right as k runs down,
 
-        M_k = E^L (i lam_{g(k)}^T) E^{-L},
+        U^dagger dU/da_k = S^dagger (i lam_{g(k)}) S = i sum_j c_kj lam_j,
 
-    with E^L the cached product of the transposed factors above k.  Rows are
-    extracted by the trace pairing c_kj = (-i/2) Tr[lam_j^T M_k], which is
-    real because M_k is anti-Hermitian; the real part is kept.
+    so c_kj = Tr[lam_j S^dagger lam_{g(k)} S] / 2, real up to rounding since
+    the conjugated generator is Hermitian; the real part is kept.
     """
     angles = np.asarray(angles, dtype=float)
     n = len(generators)
@@ -158,27 +157,23 @@ def _one_form_coefficients(generators, angles, basis_indices) -> np.ndarray:
         raise ValueError(f"expected {n} angles, got shape {angles.shape}")
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
-    lam_t = np.stack([gell_mann(j).T for j in basis_indices])
-    c = np.empty((n, len(basis_indices)))
-    prefix = np.eye(4, dtype=complex)
-    for k in range(n, 0, -1):
-        g = generators[k - 1]
-        m_k = prefix @ (1j * gell_mann(g).T) @ prefix.conj().T
-        c[k - 1] = (-0.5j * np.einsum("jab,ba->j", lam_t, m_k)).real
-        prefix = prefix @ exp_generator(g, angles[k - 1]).T
-    return c
+    lam = gell_mann_stack()
+    x = np.empty((n, 4, 4), dtype=complex)
+    s = np.eye(4, dtype=complex)
+    for k in range(n - 1, -1, -1):
+        x[k] = s.conj().T @ lam[generators[k] - 1] @ s
+        s = exp_generator(generators[k], angles[k]) @ s
+    return 0.5 * np.einsum("jab,kba->kj", lam[:n], x).real
 
 
 def one_form_matrix(angles) -> np.ndarray:
     """15x15 coefficient matrix c_kj for SU(4); |det| is the Haar density."""
-    return _one_form_coefficients(SU4_GENERATOR_SEQUENCE, angles,
-                                  range(1, 16))
+    return _one_form_coefficients(SU4_GENERATOR_SEQUENCE, angles)
 
 
 def one_form_matrix_su3(angles) -> np.ndarray:
     """8x8 coefficient matrix for the SU(3) chain a7..a14 over lam_1..lam_8."""
-    return _one_form_coefficients(SU3_GENERATOR_SEQUENCE, angles,
-                                  range(1, 9))
+    return _one_form_coefficients(SU3_GENERATOR_SEQUENCE, angles)
 
 
 def _quadrature_volume(group: str, nodes: int) -> float:

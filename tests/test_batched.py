@@ -1,6 +1,7 @@
 """The stacked compose -> conjugate -> classify kernel against the
 per-state route, bit for bit, plus the worker-count cap."""
 
+import itertools
 import json
 
 import numpy as np
@@ -8,14 +9,19 @@ import pytest
 
 from su4euler import (
     CONJUGATION_SEQUENCE,
+    SPECTRUM_LOWER,
+    SPECTRUM_UPPER,
     SU4_GENERATOR_SEQUENCE,
     ValidationError,
     classify,
     compose,
+    conjugate,
+    corner_angles,
     corner_scan,
     exp_generator,
     group_volume,
     is_entangled,
+    rho_diagonal,
     rho_full,
     scan,
     spectrum_diagonal,
@@ -63,14 +69,53 @@ def test_compose_stack_equals_per_row():
 
 def test_spectrum_squares_keep_scalar_pow_rounding():
     # Array x**2 is x*x, which differs from pow(x, 2) in the last bit on a
-    # small share of inputs; the stacked spectrum must keep pow's rounding.
-    thetas = np.random.default_rng(5).uniform(0.5, 1.6, size=(20000, 3))
-    expected = []
-    for t1, t2, t3 in thetas:
-        w2, x2, y2 = np.sin(t1) ** 2, np.sin(t2) ** 2, np.sin(t3) ** 2
-        expected.append([w2 * x2 * y2, (1.0 - w2) * x2 * y2, (1.0 - x2) * y2,
-                         1.0 - y2])
-    assert np.array_equal(spectrum_diagonal(thetas), np.array(expected))
+    # small share of inputs; the stacked spectrum must keep pow's rounding,
+    # for a stack, a single unstacked triple and the spectrum corners.
+    corners = np.array(list(itertools.product(*zip(SPECTRUM_LOWER, SPECTRUM_UPPER))))
+    for thetas in (np.random.default_rng(5).uniform(0.5, 1.6, size=(20000, 3)),
+                   np.array([1.0, 1.1, 1.2]), corners):
+        expected = []
+        for t1, t2, t3 in thetas.reshape(-1, 3):
+            w2, x2, y2 = np.sin(t1) ** 2, np.sin(t2) ** 2, np.sin(t3) ** 2
+            expected.append([w2 * x2 * y2, (1.0 - w2) * x2 * y2, (1.0 - x2) * y2,
+                             1.0 - y2])
+        expected = np.array(expected).reshape(thetas.shape[:-1] + (4,))
+        assert np.array_equal(spectrum_diagonal(thetas), expected)
+
+
+def dense_rho_diagonal(theta):
+    """rho_d built as a dense complex matrix with the spectrum on its diagonal."""
+    spectrum = spectrum_diagonal(theta)
+    rho = np.zeros(spectrum.shape[:-1] + (16,), dtype=complex)
+    rho[..., ::5] = spectrum  # every fifth entry of a flat 4x4 is diagonal
+    return rho.reshape(spectrum.shape + (4,))
+
+
+def assert_same_words(a, b):
+    """Equal dtype, shape and raw float words, so signed zeros count."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_conjugate_equals_dense_matrix_product():
+    # conjugate scales V's columns by the spectrum instead of multiplying by
+    # rho_d; the zeros of rho_d only ever add exact zeros, so no bit moves.
+    rng = np.random.default_rng(8)
+    lo = np.array(SPECTRUM_LOWER)
+    hi = np.array(SPECTRUM_UPPER)
+    random = (rng.uniform(0.0, np.pi, (5000, 12)),
+              lo + (hi - lo) * rng.random((5000, 3)))
+    single = (rng.uniform(0.0, np.pi, 12), np.array([1.0, 1.1, 1.2]))
+    for alphas, thetas in itertools.chain(corner_angles(), [random, single]):
+        v = compose(CONJUGATION_SEQUENCE, alphas)
+        old = v @ dense_rho_diagonal(thetas) @ v.conj().swapaxes(-1, -2)
+        assert_same_words(conjugate(v, thetas), old)
+        assert_same_words(rho_full(alphas, thetas), old)
+        assert_same_words(rho_diagonal(thetas), dense_rho_diagonal(thetas))
+    # A real orthogonal V still gives a complex state, as the product did.
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    theta = np.array([1.0, 1.1, 1.2])
+    assert_same_words(conjugate(q, theta), q @ dense_rho_diagonal(theta) @ q.T)
 
 
 def test_rho_full_stack_equals_per_state():

@@ -123,6 +123,12 @@ def test_check_rejects_malformed_angle_expression():
     proc = run_cli("check", "--alpha", "__import__('os')," + ZERO_ALPHA,
                    "--theta", LOWER_THETA)
     assert proc.returncode == 2
+    # A long unsupported expression is echoed cut short, not whole.
+    proc = run_cli("check", "--alpha", "foo(" + "x" * 4995 + ")," + ZERO_ALPHA,
+                   "--theta", LOWER_THETA)
+    assert proc.returncode == 2
+    assert "unsupported angle expression" in proc.stderr.decode()
+    assert len(proc.stderr) < 500
 
 
 @pytest.mark.parametrize("row,col", [(0, 0), (0, 2)])
@@ -316,6 +322,22 @@ def test_workers_env_variable_and_flag_override():
     assert json.loads(override.stdout)["payload"] == json.loads(plain.stdout)["payload"]
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3"])
+@pytest.mark.parametrize("args", [
+    ("scan", "--samples", "3"),
+    ("volume", "--group", "su2", "--method", "quad", "--nodes", "8"),
+], ids=["scan", "volume-quad"])
+def test_bad_workers_env_variable_named(args, value):
+    import os
+    proc = subprocess.run([sys.executable, "-m", "su4euler", *args],
+                          capture_output=True, timeout=300,
+                          env={**os.environ, "SU4EULER_WORKERS": value})
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert (f"SU4EULER_WORKERS must be an integer >= 1, got {value!r}"
+            in proc.stderr.decode())
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
@@ -352,6 +374,8 @@ def test_deeply_nested_angle_expression_exits_2(depth):
     assert proc.returncode == 2
     assert "Traceback" not in stderr
     assert "angle expression" in stderr
+    assert f"({depth + 1} chars)" in stderr
+    assert len(proc.stderr) < 500
 
 
 def test_angle_expression_rejects_complex_power():
@@ -366,6 +390,9 @@ def test_angle_expression_unsupported_error_not_wrapped():
     with pytest.raises(ValueError,
                        match=r"^unsupported angle expression: 'sqrt\(foo\(1\)\)'$"):
         parse_angle("sqrt(foo(1))")
+    with pytest.raises(ValueError, match=r"^unsupported angle expression: "
+                                         r"'foo\(x{56}'… \(5000 chars\)$"):
+        parse_angle("foo(" + "x" * 4995 + ")")
 
 
 def test_angle_expression_rejects_calls():

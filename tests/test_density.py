@@ -1,5 +1,6 @@
 """Diagonal seed, Bloch decomposition, conjugated density matrices."""
 
+import math
 import re
 import warnings
 
@@ -148,3 +149,19 @@ def test_nonfinite_spectrum_angle_rejected_without_warning(bad):
         with pytest.raises(ValueError,
                            match=re.escape(message + repr(tuple(stack[3].tolist())))):
             rho_full(np.zeros((5, 12)), stack)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_bloch_coefficients_reject_stacked_angles(shape):
+    with pytest.raises(ValueError):
+        bloch_coefficients(np.full(shape, 1.2))
+
+
+def test_bloch_coefficients_keep_python_float_rounding():
+    for theta in random_thetas(np.random.default_rng(15), 2000).tolist():
+        w2, x2, y2 = (math.sin(t) ** 2 for t in theta)
+        c = bloch_coefficients(theta)
+        assert type(c.w3) is float
+        assert c.w3 == 0.5 * (-1.0 + 2.0 * w2) * x2 * y2
+        assert c.w8 == (-2.0 + 3.0 * x2) * y2 / (2.0 * np.sqrt(3.0))
+        assert c.w15 == (-3.0 + 4.0 * y2) / (2.0 * np.sqrt(6.0))

@@ -5,10 +5,12 @@ import pytest
 from scipy import stats
 
 from su4euler import (
+    SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
     analytic_volume,
     compose_su3,
     compose_su4,
+    exp_generator,
     gell_mann,
     group_volume,
     haar_density,
@@ -88,6 +90,34 @@ def test_one_form_rows_match_finite_differences(kind, group, compose_fn,
         rows = one_form_by_differences(compose_fn, point, basis)
         assert np.abs(rows.imag).max() <= 1e-8
         assert np.abs(rows.real - one_form(point)).max() <= 1e-8
+
+
+def one_form_by_transposed_chain(generators, angles, basis):
+    """Rows c_kj from the transposed chain u = U^T: with E the product of the
+    transposed factors above k, c_kj = (-i/2) Tr[lam_j^T E (i lam_g^T) E^-1]."""
+    lam_t = np.stack([gell_mann(j).T for j in basis])
+    c = np.empty((len(generators), len(basis)))
+    prefix = np.eye(4, dtype=complex)
+    for k in range(len(generators), 0, -1):
+        g = generators[k - 1]
+        m_k = prefix @ (1j * gell_mann(g).T) @ prefix.conj().T
+        c[k - 1] = (-0.5j * np.einsum("jab,ba->j", lam_t, m_k)).real
+        prefix = prefix @ exp_generator(g, angles[k - 1]).T
+    return c
+
+
+@pytest.mark.parametrize("group,generators,one_form", [
+    ("su4", SU4_GENERATOR_SEQUENCE, one_form_matrix),
+    ("su3", SU3_GENERATOR_SEQUENCE, one_form_matrix_su3),
+], ids=["su4", "su3"])
+def test_one_form_rows_match_transposed_chain(group, generators, one_form):
+    basis = range(1, len(generators) + 1)
+    points = [np.zeros(len(generators))]
+    for seed, kind in [(26, "volume"), (27, "covering")]:
+        points.extend(uniform_points(seed, 100, range_profile(group, kind)))
+    for point in points:
+        expected = one_form_by_transposed_chain(generators, point, basis)
+        assert np.abs(one_form(point) - expected).max() <= 1e-15
 
 
 def test_density_vanishing_factor():
