@@ -2,9 +2,9 @@
 
 Provides the 15 Hermitian traceless generators with the standard
 normalization Tr[lam_i lam_j] = 2 delta_ij, the antisymmetric structure
-constants f_ijk, matrix commutators, closed-form single-generator
-exponentials, and the K/P closure check underlying the group's Euler
-factorization.
+constants f_ijk, matrix commutators, the Euler factors exp(i a lam_g) in
+closed form (one primitive updates only the columns a factor touches), and
+the K/P closure check underlying the group's Euler factorization.
 """
 
 from dataclasses import dataclass
@@ -128,52 +128,44 @@ def structure_constants() -> np.ndarray:
     return _F
 
 
-_DIAG = np.arange(4)
+# i lam on each diagonal generator's support, a leading run of columns.
+_PHASES = {idx: 1j * d[:np.count_nonzero(d)] for idx, d in _DIAGONALS.items()}
+
+
+def _right_multiply(u: np.ndarray, index: int, angle) -> np.ndarray:
+    """u <- u exp(i angle lam_index) in place on a (..., 4, 4) complex stack
+    with angles (...); returns u.  A diagonal generator scales its support
+    columns by its phases; an off-diagonal one mixes its two columns as the
+    block [[c, i s], [i s, c]] (symmetric) or [[c, s], [-s, c]] does.  The
+    work is elementwise per angle: a stack equals its rows, bit for bit."""
+    if index in _PHASES:
+        phases = _PHASES[index]
+        u[..., :phases.size] *= np.exp(angle[..., None, None] * phases)
+        return u
+    a, b = _SYMMETRIC_PAIRS.get(index) or _ANTISYMMETRIC_PAIRS[index]
+    c, s = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    if index in _SYMMETRIC_PAIRS:
+        upper = lower = 1j * s
+    else:
+        upper, lower = s, -s
+    col_a, col_b = u[..., a], u[..., b]
+    mixed_a = c * col_a + lower * col_b
+    col_b[...] = upper * col_a + c * col_b
+    col_a[...] = mixed_a
+    return u
 
 
 def exp_generator(index: int, angle) -> np.ndarray:
-    """exp(i * lam_index * angle) in closed form; an angle ndarray of shape
-    (...) gives a (..., 4, 4) stack.
-
-    Diagonal generators exponentiate entrywise.  Off-diagonal generators act
-    as a 2x2 block on their support: a symmetric generator gives
-    [[cos, i sin], [i sin, cos]], an antisymmetric one the real rotation
-    [[cos, sin], [-sin, cos]].  Exact up to rounding, so safe in inner loops.
-    Both branches build every entry with the same operations, so each
-    stacked matrix equals the scalar result bit for bit.
-    """
+    """exp(i * lam_index * angle): the identity right-multiplied by the factor
+    (_right_multiply).  One body serves scalar and stacked angles, so angles
+    of shape (...) give a (..., 4, 4) stack equal, matrix by matrix and bit
+    for bit, to the scalar results."""
     _check_index(index)
-    if getattr(angle, "ndim", 0):
-        angle = np.asarray(angle, dtype=float)
-        if not np.isfinite(angle).all():
-            raise ValueError("angles must be finite")
-        u = np.zeros(angle.shape + (4, 4), dtype=complex)
-        if index in _DIAGONALS:
-            u[..., _DIAG, _DIAG] = np.exp(1j * _DIAGONALS[index] * angle[..., None])
-            return u
-        u[..., _DIAG, _DIAG] = 1.0
-        # entries[i, j] is the stack of u[..., i, j].
-        entries = np.moveaxis(u, (-2, -1), (0, 1))
-    else:
-        # Scalar branch, kept apart from the stack construction: per-state
-        # callers (one-form rows, single states) make tens of calls per
-        # state, and the stack form costs about twice as much per matrix.
-        if not np.isfinite(angle):
-            raise ValueError(f"angle must be finite, got {angle!r}")
-        if index in _DIAGONALS:
-            return np.diag(np.exp(1j * _DIAGONALS[index] * angle))
-        u = entries = np.eye(4, dtype=complex)
-    c, s = np.cos(angle), np.sin(angle)
-    if index in _SYMMETRIC_PAIRS:
-        a, b = _SYMMETRIC_PAIRS[index]
-        entries[a, a] = entries[b, b] = c
-        entries[a, b] = entries[b, a] = 1j * s
-    else:
-        a, b = _ANTISYMMETRIC_PAIRS[index]
-        entries[a, a] = entries[b, b] = c
-        entries[a, b] = s
-        entries[b, a] = -s
-    return u
+    angle = np.asarray(angle, dtype=float)
+    if not np.isfinite(angle).all():
+        raise ValueError(f"angle must be finite, got {angle[~np.isfinite(angle)][0]}")
+    u = np.broadcast_to(np.eye(4, dtype=complex), angle.shape + (4, 4)).copy()
+    return _right_multiply(u, index, angle)
 
 
 @dataclass(frozen=True)

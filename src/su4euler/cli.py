@@ -18,6 +18,7 @@ import operator
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -96,12 +97,24 @@ def parse_angle_list(text: str, allowed_counts) -> list:
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    """Read a 4x4 complex matrix: 4 rows of 8 reals, re/im interleaved."""
-    data = np.loadtxt(path)
-    if data.shape != (4, 8):
+    """Read a 4x4 complex matrix: 4 rows of 8 reals, re/im interleaved.
+
+    Content that is not such a table is a ValidationError naming the file;
+    a file that cannot be opened stays an OSError.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file with no data; make it an error.
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(path, ndmin=2)
+        found = None if data.shape == (4, 8) else "{} rows of {}".format(*data.shape)
+    except UserWarning:
+        found = "no data"
+    except ValueError:
+        found = "rows of unequal length or a non-numeric entry"
+    if found:
         raise ValidationError(
-            f"matrix file shape invariant violated: expected 4 rows x 8 values, got {data.shape}"
-        )
+            f"matrix file {path!r} needs 4 rows of 8 reals, got {found}")
     return data[:, 0::2] + 1j * data[:, 1::2]
 
 

@@ -8,15 +8,17 @@ The SU(4) element is the ordered 15-factor product
 
 with SU(3) the middle eight factors and SU(2) the l3/l2/l3 triple.  SU(2)
 and SU(3) elements are returned embedded in the top-left block of a 4x4
-identity.  Angles are radians and unrestricted (the group is periodic);
-the range profiles below are for integration and sampling only.
+identity.  A product starts from the identity, and each factor updates in
+place only the columns it touches.  Angles are radians and unrestricted
+(the group is periodic); the range profiles are for integration and
+sampling only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import exp_generator
+from .algebra import _right_multiply
 
 SU4_GENERATOR_SEQUENCE = (3, 2, 3, 5, 3, 10, 3, 2, 3, 5, 3, 2, 3, 8, 15)
 SU3_GENERATOR_SEQUENCE = SU4_GENERATOR_SEQUENCE[6:14]  # (3, 2, 3, 5, 3, 2, 3, 8)
@@ -83,17 +85,21 @@ def range_profile(group: str, kind: str) -> RangeProfile:
 def compose(generators, angles) -> np.ndarray:
     """Ordered left-to-right product of exp(i lam_g a) factors.
 
-    Angles of shape (..., n) give a (..., 4, 4) stack; each stacked matrix
-    equals the product composed from its own angle row, bit for bit.
+    Angles of shape (..., n) give a (..., 4, 4) stack equal, row by row and
+    bit for bit, to the product composed from each angle row alone.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1:] != (len(generators),):
         raise ValueError(
             f"expected {len(generators)} angles, got shape {angles.shape}"
         )
-    u = np.eye(4, dtype=complex)
+    finite = np.isfinite(angles)
+    if not finite.all():
+        pos = tuple(np.argwhere(~finite)[0])
+        raise ValueError(f"angles must be finite, got a{pos[-1] + 1} = {angles[pos]}")
+    u = np.broadcast_to(np.eye(4, dtype=complex), angles.shape[:-1] + (4, 4)).copy()
     for k, g in enumerate(generators):
-        u = u @ exp_generator(g, angles[..., k])
+        _right_multiply(u, g, angles[..., k])
     return u
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import exp_generator, gell_mann_stack
+from .algebra import _right_multiply, gell_mann_stack
 from .euler import (
     RangeProfile,
     SU3_GENERATOR_SEQUENCE,
@@ -144,7 +144,8 @@ def _one_form_coefficients(generators, angles) -> np.ndarray:
     """Coefficients c_kj of the invariant one-forms of the chain
     U = F_1 ... F_n, F_k = exp(i a_k lam_{g(k)}), over lam_1..lam_n.
 
-    With S = F_{k+1} ... F_n, built from the right as k runs down,
+    With S = F_{k+1} ... F_n, S^dagger built from the right by the factors
+    exp(-i a_k lam_{g(k)}) as k runs down,
 
         U^dagger dU/da_k = S^dagger (i lam_{g(k)}) S = i sum_j c_kj lam_j,
 
@@ -159,10 +160,10 @@ def _one_form_coefficients(generators, angles) -> np.ndarray:
         raise ValueError("angles must be finite")
     lam = gell_mann_stack()
     x = np.empty((n, 4, 4), dtype=complex)
-    s = np.eye(4, dtype=complex)
+    s_dag = np.eye(4, dtype=complex)
     for k in range(n - 1, -1, -1):
-        x[k] = s.conj().T @ lam[generators[k] - 1] @ s
-        s = exp_generator(generators[k], angles[k]) @ s
+        x[k] = s_dag @ lam[generators[k] - 1] @ s_dag.conj().T
+        _right_multiply(s_dag, generators[k], -angles[k])
     return 0.5 * np.einsum("jab,kba->kj", lam[:n], x).real
 
 
@@ -212,6 +213,8 @@ def split_streams(seed: int, workers: int, samples: int):
     sample count would draw nothing; spawning it would still cost time and
     memory.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, samples)

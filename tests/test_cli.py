@@ -114,6 +114,22 @@ def test_check_rejects_bad_trace(tmp_path):
     assert "trace invariant violated" in proc.stderr.decode()
 
 
+@pytest.mark.parametrize("content", [
+    "1 0 0 0 0 0 0 0\n0 0 1 0 0 0 0\n0 0 0 0 1 0 0 0\n0 0 0 0 0 0 1 0\n",
+    "a 0 0 0 0 0 0 0\n" * 4,
+    "",
+], ids=["short-row", "non-numeric", "empty"])
+def test_check_rejects_malformed_matrix_file(tmp_path, content):
+    path = tmp_path / "malformed.mat"
+    path.write_text(content, encoding="utf-8")
+    proc = run_cli("check", "--matrix", str(path))
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 3
+    assert "malformed.mat" in stderr
+    assert "needs 4 rows of 8 reals" in stderr
+    assert "Warning" not in stderr
+
+
 def test_check_requires_input():
     proc = run_cli("check")
     assert proc.returncode == 2
@@ -146,6 +162,31 @@ def test_check_missing_matrix_file_exits_1(tmp_path):
     proc = run_cli("check", "--matrix", str(tmp_path / "absent.mat"))
     assert proc.returncode == 1
     assert "absent.mat" in proc.stderr.decode()
+
+
+def test_check_matrix_path_is_directory_exits_1(tmp_path):
+    proc = run_cli("check", "--matrix", str(tmp_path))
+    assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("scan", "--samples", "10"),
+    ("volume", "--group", "su4", "--method", "mc", "--samples", "1000"),
+], ids=["scan", "volume-mc"])
+def test_negative_seed_named(args):
+    proc = run_cli(*args, "--seed", "-1")
+    assert proc.returncode == 2
+    assert "seed must be an integer >= 0, got -1" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command", ["rho", "check"])
+def test_nonfinite_alpha_exits_2(command):
+    proc = run_cli(command, "--alpha", "0,1e400," + ",".join(["0"] * 10),
+                   "--theta", LOWER_THETA)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "angles must be finite, got a2 = inf" in stderr
+    assert "Warning" not in stderr
 
 
 @pytest.mark.parametrize("args", [

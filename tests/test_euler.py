@@ -8,8 +8,15 @@ from su4euler import (
     compose_su2,
     compose_su3,
     compose_su4,
+    one_form_matrix,
     range_profile,
+    rho_full,
 )
+from su4euler.algebra import exp_generator
+from su4euler.density import CONJUGATION_SEQUENCE
+from su4euler.euler import compose
+from su4euler.haar import sample_haar_angles
+from su4euler.separability import corner_angles
 
 
 def special_unitary_deviation(u):
@@ -131,3 +138,54 @@ def test_profile_validation():
         range_profile("su5", "volume")
     with pytest.raises(ValueError):
         range_profile("su4", "haar")
+
+
+def dense_factor_compose(generators, angles):
+    """The product as dense factor matmuls, u <- u @ exp_generator(g, a)."""
+    u = np.eye(4, dtype=complex)
+    for k, g in enumerate(generators):
+        u = u @ exp_generator(g, angles[..., k])
+    return u
+
+
+@pytest.mark.parametrize("kind", ["volume", "covering"])
+def test_compose_matches_dense_factor_product(kind):
+    angles = sample_haar_angles(np.random.default_rng(40), range_profile("su4", kind),
+                                size=5000)
+    expected = dense_factor_compose(SU4_GENERATOR_SEQUENCE, angles)
+    assert np.abs(compose(SU4_GENERATOR_SEQUENCE, angles) - expected).max() <= 1e-15
+
+
+def test_compose_matches_dense_factor_product_on_alpha_corners():
+    alphas, _ = next(corner_angles())
+    assert alphas.shape == (4096, 12)
+    expected = dense_factor_compose(CONJUGATION_SEQUENCE, alphas)
+    assert np.abs(compose(CONJUGATION_SEQUENCE, alphas) - expected).max() <= 1e-15
+
+
+_NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", _NONFINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda a: compose(SU4_GENERATOR_SEQUENCE, a[0]),
+    lambda a: compose(SU4_GENERATOR_SEQUENCE, a),
+    lambda a: compose_su4(a[0]),
+    lambda a: rho_full(a[0, :12], (1.0, 1.1, 1.2)),
+], ids=["compose-row", "compose-stack", "compose_su4", "rho_full"])
+def test_compose_names_first_nonfinite_angle(build, bad):
+    angles = np.full((3, 15), 0.5)
+    angles[0, 4] = angles[2, 1] = bad
+    with pytest.raises(ValueError, match=rf"^angles must be finite, got a5 = {bad}$"):
+        build(angles)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE, ids=["nan", "inf", "-inf"])
+def test_one_form_and_exp_generator_reject_nonfinite_angle(bad):
+    angles = np.full(15, 0.5)
+    angles[7] = bad
+    with pytest.raises(ValueError, match="angles must be finite"):
+        one_form_matrix(angles)
+    for angle in (bad, angles):
+        with pytest.raises(ValueError, match=rf"^angle must be finite, got {bad}$"):
+            exp_generator(5, angle)

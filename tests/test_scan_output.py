@@ -112,3 +112,21 @@ def test_nondefault_tolerance_moves_tallies():
     loose = reference_output("csv", **CASES["tolerance"]).splitlines()[-1]
     tight = reference_output("csv", samples=300, seed=9).splitlines()[-1]
     assert loose != tight
+
+
+@pytest.mark.parametrize("args,tally", [
+    (["--samples", "10000", "--seed", "1"], (2901, 7099, 0)),
+    (["--samples", "10000", "--seed", "7", "--workers", "3"], (2884, 7116, 0)),
+    (["--samples", "333", "--seed", "2", "--profile", "covering"], (106, 227, 0)),
+    (["--samples", "5000", "--seed", "9", "--tolerance", "1e-3"], (649, 2563, 1788)),
+    (["--corners"], (4096, 0, 28672)),
+], ids=["seed1", "seed7-workers3", "covering", "tolerance", "corners"])
+def test_golden_scan_tallies(tmp_path, args, tally):
+    """Verdict tallies of the golden scans, pinned where their hashes cannot
+    be: the hashes follow the BLAS build, the verdicts should not."""
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", *args, "--output", str(out)]) == 0
+    footer = out.read_text(encoding="utf-8").splitlines()[-1]
+    separable, entangled, boundary = tally
+    assert footer == (f"# summary separable={separable} entangled={entangled} "
+                      f"boundary={boundary} total={sum(tally)}")
