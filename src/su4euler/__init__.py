@@ -62,12 +62,9 @@ from .separability import (
     Classification,
     DepressedQuartic,
     ResolventRoots,
-    ScanRecord,
     SeparabilityVerdict,
     char_poly_coeffs,
     classify,
-    classify_chunks,
-    corner_angles,
     corner_scan,
     depressed_quartic,
     eigenvalues_via_resolvent,
@@ -75,6 +72,5 @@ from .separability import (
     partial_transpose,
     resolvent_roots,
     scan,
-    scan_angles,
     validate_density_matrix,
 )

@@ -11,7 +11,6 @@ error, 3 input-validation failure, 4 internal consistency error.
 
 import argparse
 import ast
-import itertools
 import json
 import math
 import operator
@@ -28,8 +27,7 @@ from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
 from .errors import ConsistencyError, ValidationError
 from .euler import compose_su4
 from .haar import analytic_volume, group_volume
-from .separability import (classify_chunks, corner_angles, is_entangled,
-                           scan_angles)
+from .separability import corner_scan, is_entangled, scan
 
 WORKERS_ENV = "SU4EULER_WORKERS"
 
@@ -193,7 +191,8 @@ def cmd_volume(args) -> int:
         if not math.isfinite(samples):
             raise ValueError(
                 f"Monte Carlo sample count must be finite, got {args.samples!r}")
-        resolution = int(samples)
+        # group_volume rejects a count with a fractional part, such as 2500.5.
+        resolution = int(samples) if samples.is_integer() else samples
     workers = args.workers if args.workers is not None else _default_workers()
     result = group_volume(args.group, method, resolution, seed=args.seed,
                           workers=workers)
@@ -215,18 +214,18 @@ def cmd_volume(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter() if args.timing else None
-    if args.matrix:
+    if args.matrix is not None and args.alpha is None and args.theta is None:
         rho = load_matrix_file(args.matrix)
         config = {"matrix": args.matrix, "tolerance": args.tolerance,
                   "subsystem": args.subsystem}
-    else:
-        if not (args.alpha and args.theta):
-            print("check: provide --matrix FILE or both --alpha and --theta",
-                  file=sys.stderr)
-            return 2
+    elif args.matrix is None and args.alpha and args.theta:
         rho, _, _ = _rho_from_args(args)
         config = {"alpha": args.alpha, "theta": args.theta,
                   "tolerance": args.tolerance, "subsystem": args.subsystem}
+    else:
+        print("check: provide --matrix FILE or both --alpha and --theta, not both",
+              file=sys.stderr)
+        return 2
     verdict = is_entangled(rho, args.tolerance, args.subsystem)
     payload = {
         "d": verdict.d_value,
@@ -294,19 +293,15 @@ def _scan_pieces(fmt: str, config: dict, chunks):
 def cmd_scan(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     if args.corners:
-        chunks = corner_angles()
+        chunks = corner_scan(args.tolerance)
         config = {"mode": "corners", "tolerance": args.tolerance}
     else:
-        chunks = scan_angles(args.samples, seed=args.seed,
-                             angle_profile=args.profile, workers=workers)
+        chunks = scan(args.samples, seed=args.seed, angle_profile=args.profile,
+                      tolerance=args.tolerance, workers=workers)
         config = {"mode": "random", "samples": args.samples, "seed": args.seed,
                   "profile": args.profile, "tolerance": args.tolerance,
                   "workers": workers}
-    pieces = _scan_pieces(args.format, config,
-                          classify_chunks(chunks, args.tolerance))
-    # Draw and classify the first chunk before opening the output, so a bad
-    # sample count, tolerance or state leaves no file behind.
-    pieces = itertools.chain([next(pieces)], pieces)
+    pieces = _scan_pieces(args.format, config, chunks)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(pieces)

@@ -24,6 +24,10 @@ SU4_GENERATOR_SEQUENCE = (3, 2, 3, 5, 3, 10, 3, 2, 3, 5, 3, 2, 3, 8, 15)
 SU3_GENERATOR_SEQUENCE = SU4_GENERATOR_SEQUENCE[6:14]  # (3, 2, 3, 5, 3, 2, 3, 8)
 SU2_GENERATOR_SEQUENCE = (3, 2, 3)
 
+# The paper's angle names where they are not a1, a2, ... by position.
+_ANGLE_NAMES = {SU2_GENERATOR_SEQUENCE: ("mu", "nu", "xi"),
+                SU3_GENERATOR_SEQUENCE: [f"a{k}" for k in range(7, 15)]}
+
 _GROUPS = ("su2", "su3", "su4")
 _KINDS = ("volume", "covering")
 
@@ -86,7 +90,8 @@ def compose(generators, angles) -> np.ndarray:
     """Ordered left-to-right product of exp(i lam_g a) factors.
 
     Angles of shape (..., n) give a (..., 4, 4) stack equal, row by row and
-    bit for bit, to the product composed from each angle row alone.
+    bit for bit, to the product composed from each angle row alone.  A
+    non-finite angle is named as in the paper (a7..a14 for SU(3)).
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1:] != (len(generators),):
@@ -96,7 +101,9 @@ def compose(generators, angles) -> np.ndarray:
     finite = np.isfinite(angles)
     if not finite.all():
         pos = tuple(np.argwhere(~finite)[0])
-        raise ValueError(f"angles must be finite, got a{pos[-1] + 1} = {angles[pos]}")
+        names = _ANGLE_NAMES.get(tuple(generators))
+        name = names[pos[-1]] if names else f"a{pos[-1] + 1}"
+        raise ValueError(f"angles must be finite, got {name} = {angles[pos]}")
     u = np.broadcast_to(np.eye(4, dtype=complex), angles.shape[:-1] + (4, 4)).copy()
     for k, g in enumerate(generators):
         _right_multiply(u, g, angles[..., k])

@@ -215,8 +215,8 @@ def split_streams(seed: int, workers: int, samples: int):
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be >= 1 and an integer, got {workers!r}")
     workers = min(workers, samples)
     streams = np.random.SeedSequence(seed).spawn(workers)
     return ((np.random.default_rng(stream),
@@ -275,14 +275,16 @@ def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
     if method == "quadrature":
         # leggauss builds an n x n companion matrix (n^3 time); 12 nodes
         # already reach 1e-15 relative error.
-        if not 2 <= resolution <= 1024:
-            raise ValueError("quadrature needs 2 to 1024 nodes per "
-                             f"axis, got {resolution}")
+        if not (isinstance(resolution, (int, np.integer))
+                and 2 <= resolution <= 1024):
+            raise ValueError("quadrature needs an integer resolution of 2 to "
+                             f"1024 nodes per axis, got {resolution!r}")
         est = _quadrature_volume(g, resolution)
         return VolumeResult(est, 0.0, "quadrature", resolution, _NORMALIZATION[g])
     if method == "monte_carlo":
-        if resolution < 1000:
-            raise ValueError("Monte Carlo needs at least 1000 samples")
+        if not (isinstance(resolution, (int, np.integer)) and resolution >= 1000):
+            raise ValueError("Monte Carlo needs an integer resolution of at least "
+                             f"1000 samples, got {resolution!r}")
         est, se = _monte_carlo_volume(g, resolution, seed, workers)
         return VolumeResult(est, se, "monte_carlo", resolution, _NORMALIZATION[g])
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")

@@ -7,9 +7,9 @@ The quartic/resolvent-cubic eigenvalue path is kept alongside as the
 radical-formula route and is validated against the Hermitian eigensolver.
 
 classify is the one classification kernel and works on (..., 4, 4) stacks.
-It and is_entangled, its single-matrix case, validate the caller's matrices;
-classify_chunks (scan, corner_scan, the CLI's streaming scan writer) builds
-its states from angles, valid by construction, and skips that check.
+It and is_entangled, its single-matrix case, validate the caller's matrices.
+scan and corner_scan, whose chunks the CLI streams, build their states from
+angles, valid by construction, and skip that check.
 """
 
 import cmath
@@ -70,18 +70,6 @@ class Classification(NamedTuple):
     boundary: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    sample_index: int
-    alphas: tuple
-    thetas: tuple
-    d: float
-    min_eig: float
-    neg_count: int
-    entangled: bool
-    boundary: bool
-
-
 def partial_transpose(rho: np.ndarray, subsystem: str = "B") -> np.ndarray:
     """Transpose one tensor factor of a (stack of) 4x4 two-qubit operators.
 
@@ -104,9 +92,10 @@ def partial_transpose(rho: np.ndarray, subsystem: str = "B") -> np.ndarray:
     return blocks.transpose(axes).reshape(*lead, 4, 4)
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-13,
-                            trace_tol: float = 1e-13,
-                            psd_tol: float = 1e-12) -> None:
+_HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-13, 1e-13, 1e-12  # validate_density_matrix bounds
+
+
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ValidationError naming the violated density-matrix invariant.
 
     Accepts one 4x4 matrix or a (..., 4, 4) stack; every state must pass
@@ -128,11 +117,11 @@ def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-13,
     check(nonfinite > 0,
           "finiteness invariant violated: {} of 16 entries not finite", nonfinite)
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    check(herm > herm_tol, "hermiticity invariant violated: residue {:.3e}", herm)
+    check(herm > _HERM_TOL, "hermiticity invariant violated: residue {:.3e}", herm)
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    check(abs(tr - 1.0) > trace_tol, "trace invariant violated: trace {:.17g}", tr)
+    check(abs(tr - 1.0) > _TRACE_TOL, "trace invariant violated: trace {:.17g}", tr)
     min_eig = np.linalg.eigvalsh(rho)[..., 0]
-    check(min_eig < -psd_tol, "positivity invariant violated: min eigenvalue {:.3e}",
+    check(min_eig < -_PSD_TOL, "positivity invariant violated: min eigenvalue {:.3e}",
           min_eig)
 
 
@@ -291,91 +280,92 @@ def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
 
 
 def classify_chunks(chunks, tolerance: float):
-    """Yield (start, alphas, thetas, Classification) for each (alphas,
+    """Iterator of (start, alphas, thetas, Classification) for each (alphas,
     thetas) chunk of states V(alphas) rho_d(thetas) V^dagger, start being
     the sample index of the chunk's first state.  The tolerance is checked
-    once; rho_full rejects non-finite angles, and the states it builds from
-    finite ones are valid by construction, so validate_density_matrix and
-    its eigensolver are skipped."""
+    at the call; rho_full rejects non-finite angles, and the states it
+    builds from finite ones are valid by construction, so
+    validate_density_matrix and its eigensolver are skipped."""
     _check_tolerance(tolerance)
-    start = 0
-    for a, t in chunks:
-        yield start, a, t, _classify(rho_full(a, t), tolerance, "B")
-        start += len(a)
 
+    def classified():
+        start = 0
+        for a, t in chunks:
+            yield start, a, t, _classify(rho_full(a, t), tolerance, "B")
+            start += len(a)
 
-def _records(chunks, tolerance: float) -> list:
-    records = []
-    for start, a, t, c in classify_chunks(chunks, tolerance):
-        rows = zip(map(tuple, a.tolist()), map(tuple, t.tolist()),
-                   *(col.tolist() for col in c))
-        records.extend(ScanRecord(i, *row) for i, row in enumerate(rows, start))
-    return records
+    return classified()
 
 
 def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
                 spectrum_policy="uniform", workers: int = 1):
-    """Yield the (alphas, thetas) of the states scan classifies, in sample
-    order, as chunks of haar.CHUNK states (the last may be shorter) shaped
-    (n, 12) and (n, 3).
+    """Iterator of the (alphas, thetas) of the states scan classifies, in
+    sample order, as chunks of haar.CHUNK states (the last may be shorter)
+    shaped (n, 12) and (n, 3).  The arguments are checked at the call.
 
     Each sub-stream of split_streams draws its n_w states piece by piece,
     a chunk taking pieces from as many sub-streams as it spans: the 15 Haar
     angles per state from the sub-stream's generator, and the uniform
     spectrum angles from a copy of that generator advanced past the
     sub-stream's 15 * n_w Haar doubles.  The draws therefore equal one Haar
-    draw of the whole block followed by one spectrum draw.  The arguments
-    are checked when the first chunk is requested.  See scan.
+    draw of the whole block followed by one spectrum draw.  See scan.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise ValueError(f"samples must be >= 1 and an integer, got {samples!r}")
     profile = range_profile("su4", angle_profile)
     fixed_theta = None
     if not (isinstance(spectrum_policy, str) and spectrum_policy == "uniform"):
         fixed_theta = tuple(float(t) for t in spectrum_policy)
-        if len(fixed_theta) != 3:
-            raise ValueError("fixed spectrum policy needs three angles")
-
-    lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
+        if len(fixed_theta) != 3 or not np.isfinite(fixed_theta).all():
+            raise ValueError("fixed spectrum policy needs three finite angles, "
+                             f"got {fixed_theta}")
     streams = split_streams(seed, workers, samples)
-    left = 0  # states not yet drawn from the current sub-stream
-    for size in chunk_sizes(samples):
-        alphas, thetas = [], []
-        while size:
-            if not left:
-                rng, left = next(streams)
-                spectrum = np.random.Generator(
-                    copy.deepcopy(rng.bit_generator).advance(profile.dim * left))
-            n = min(size, left)
-            alphas.append(sample_haar_angles(rng, profile, size=n)[:, :12])
+    lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
+
+    def drawn():
+        left = 0  # states not yet drawn from the current sub-stream
+        for size in chunk_sizes(samples):
+            alphas, thetas = [], []
+            while size:
+                if not left:
+                    rng, left = next(streams)
+                    spectrum = np.random.Generator(
+                        copy.deepcopy(rng.bit_generator).advance(profile.dim * left))
+                n = min(size, left)
+                alphas.append(sample_haar_angles(rng, profile, size=n)[:, :12])
+                if fixed_theta is None:
+                    thetas.append(lo + (hi - lo) * spectrum.random((n, 3)))
+                size -= n
+                left -= n
+            alphas = np.concatenate(alphas)
             if fixed_theta is None:
-                thetas.append(lo + (hi - lo) * spectrum.random((n, 3)))
-            size -= n
-            left -= n
-        alphas = np.concatenate(alphas)
-        if fixed_theta is None:
-            yield alphas, np.concatenate(thetas)
-        else:
-            yield alphas, np.broadcast_to(fixed_theta, (len(alphas), 3))
+                yield alphas, np.concatenate(thetas)
+            else:
+                yield alphas, np.broadcast_to(fixed_theta, (len(alphas), 3))
+
+    return drawn()
 
 
 def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
          spectrum_policy="uniform", tolerance: float = 1e-10,
-         workers: int = 1) -> list:
+         workers: int = 1):
     """Classify random states drawn from the Haar angle sampler.
 
     The 12 conjugation angles come from the Haar sampler restricted to
     a1..a12; spectrum angles are uniform over their profile unless
     spectrum_policy is a fixed (t1, t2, t3) triple.
 
+    Returns an iterator of (start, alphas, thetas, Classification), one per
+    chunk of at most haar.CHUNK states in sample order (start is the sample
+    index of the chunk's first state), so memory does not grow with samples.
+    Every argument is checked at the call, before any state is drawn.
+
     workers counts RNG sub-streams, drawn serially in this process (see
-    haar.split_streams): record order follows the sample index, and the
-    records depend only on (seed, min(workers, samples)).  States are
-    drawn, composed, conjugated and classified in chunks of at most
-    haar.CHUNK states (scan_angles, classify_chunks).
+    haar.split_streams): the output depends only on
+    (seed, min(workers, samples)).
     """
-    return _records(scan_angles(samples, seed, angle_profile,
-                                spectrum_policy, workers), tolerance)
+    return classify_chunks(scan_angles(samples, seed, angle_profile,
+                                       spectrum_policy, workers), tolerance)
 
 
 def corner_angles():
@@ -389,11 +379,12 @@ def corner_angles():
         yield alpha_corners, np.broadcast_to(theta, (4096, 3))
 
 
-def corner_scan(tolerance: float = 1e-10) -> list:
+def corner_scan(tolerance: float = 1e-10):
     """Exhaustive classification at all 2^15 min/max parameter corners.
 
-    Sample index t * 4096 + m: bit b of m selects the upper endpoint of
-    a_{b+1} (b < 12), bit j of t the upper endpoint of t_{j+1}.  The corner
-    grid runs through the same kernel as scan.
+    Returns scan's chunk iterator over eight chunks of 4096 states; the
+    tolerance is checked at the call.  Sample index t * 4096 + m: bit b of m
+    selects the upper endpoint of a_{b+1} (b < 12), bit j of t the upper
+    endpoint of t_{j+1}.
     """
-    return _records(corner_angles(), tolerance)
+    return classify_chunks(corner_angles(), tolerance)

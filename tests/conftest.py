@@ -1,5 +1,8 @@
-"""Shared test helpers: an independent dense matrix exponential and random
-two-qubit states drawn through the Euler parametrization."""
+"""Shared test helpers: an independent dense matrix exponential, random
+two-qubit states drawn through the Euler parametrization, and the chunks of
+a scan joined into whole columns."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -41,6 +44,31 @@ def random_states(seed: int, n: int):
     thetas = lo + (hi - lo) * rng.random((n, 3))
     for i in range(n):
         yield alphas[i], thetas[i], rho_full(alphas[i], thetas[i])
+
+
+class ScanColumns(NamedTuple):
+    """Every chunk of a scan joined: one row per state, in chunk order."""
+
+    index: np.ndarray
+    alphas: np.ndarray
+    thetas: np.ndarray
+    d: np.ndarray
+    min_eig: np.ndarray
+    neg_count: np.ndarray
+    entangled: np.ndarray
+    boundary: np.ndarray
+
+
+def scan_columns(chunks) -> ScanColumns:
+    """Join the (start, alphas, thetas, Classification) chunks of scan or
+    corner_scan; index holds each state's sample index, start + row."""
+    starts, alphas, thetas, columns = zip(*chunks)
+    index = [np.arange(start, start + len(a)) for start, a in zip(starts, alphas)]
+    return ScanColumns(*map(np.concatenate, (index, alphas, thetas, *zip(*columns))))
+
+
+def same_columns(a: ScanColumns, b: ScanColumns) -> bool:
+    return all(map(np.array_equal, a, b))
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from su4euler import (
     classify,
     compose,
     conjugate,
-    corner_angles,
     corner_scan,
     exp_generator,
     group_volume,
@@ -27,15 +26,19 @@ from su4euler import (
     spectrum_diagonal,
     validate_density_matrix,
 )
+from su4euler.separability import corner_angles
+
+from conftest import same_columns, scan_columns
 
 
-def assert_matches_per_state(record):
-    verdict = is_entangled(rho_full(record.alphas, record.thetas))
-    assert verdict.d_value == record.d, record.sample_index
-    assert verdict.min_eigenvalue == record.min_eig, record.sample_index
-    assert verdict.negative_count == record.neg_count
-    assert verdict.entangled == record.entangled
-    assert verdict.boundary == record.boundary
+def assert_matches_per_state(columns, rows):
+    for i in rows:
+        verdict = is_entangled(rho_full(columns.alphas[i], columns.thetas[i]))
+        assert verdict.d_value == columns.d[i], columns.index[i]
+        assert verdict.min_eigenvalue == columns.min_eig[i], columns.index[i]
+        assert verdict.negative_count == columns.neg_count[i]
+        assert verdict.entangled == columns.entangled[i]
+        assert verdict.boundary == columns.boundary[i]
 
 
 def test_exp_generator_stack_equals_scalar_calls():
@@ -129,31 +132,27 @@ def test_rho_full_stack_equals_per_state():
 
 @pytest.mark.parametrize("seed,workers", [(1, 1), (7, 3), (15, 4), (2, 50)])
 def test_scan_records_equal_per_state_route(seed, workers):
-    records = scan(150, seed=seed, workers=workers)
-    assert [r.sample_index for r in records] == list(range(150))
-    for record in records:
-        assert_matches_per_state(record)
+    columns = scan_columns(scan(150, seed=seed, workers=workers))
+    assert columns.index.tolist() == list(range(150))
+    assert_matches_per_state(columns, range(150))
 
 
 def test_scan_across_chunk_boundary_equals_per_state_route():
-    records = scan(4200, seed=21, workers=2)
-    for record in records[4000:4200] + records[:4000:97]:
-        assert_matches_per_state(record)
+    columns = scan_columns(scan(4200, seed=21, workers=2))
+    assert_matches_per_state(columns, [*range(4000, 4200), *range(0, 4000, 97)])
 
 
 def test_scan_covering_and_fixed_spectrum_equal_per_state_route():
     theta = (1.0, 1.2, 1.4)
-    for records in (scan(100, seed=22, angle_profile="covering"),
-                    scan(100, seed=23, spectrum_policy=theta, workers=3)):
-        for record in records:
-            assert_matches_per_state(record)
+    for chunks in (scan(100, seed=22, angle_profile="covering"),
+                   scan(100, seed=23, spectrum_policy=theta, workers=3)):
+        assert_matches_per_state(scan_columns(chunks), range(100))
 
 
 def test_corner_scan_strided_subset_equals_per_state_route():
-    records = corner_scan()
-    assert len(records) == 2**15
-    for record in records[::331] + records[4090:4102]:
-        assert_matches_per_state(record)
+    columns = scan_columns(corner_scan())
+    assert len(columns.index) == 2**15
+    assert_matches_per_state(columns, [*range(0, 2**15, 331), *range(4090, 4102)])
 
 
 def test_classify_stack_matches_is_entangled():
@@ -194,7 +193,23 @@ def test_validate_stack_names_invariant_and_state():
 
 def test_scan_workers_capped_at_samples():
     # Workers are RNG sub-streams: no process or thread is started.
-    assert scan(5, seed=1, workers=10**12) == scan(5, seed=1, workers=5)
+    assert same_columns(scan_columns(scan(5, seed=1, workers=10**12)),
+                        scan_columns(scan(5, seed=1, workers=5)))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: scan(10.5), "samples"),
+    (lambda: scan(np.float64(10)), "samples"),
+    (lambda: scan(10, workers=2.5), "workers"),
+    (lambda: group_volume("su2", "monte_carlo", 1000.5), "resolution"),
+    (lambda: group_volume("su2", "monte_carlo", 1000, workers=2.5), "workers"),
+    (lambda: group_volume("su2", "quadrature", 12.5), "resolution"),
+], ids=["scan-samples", "scan-float-samples", "scan-workers", "mc-resolution",
+        "mc-workers", "quad-resolution"])
+def test_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match="integer") as info:
+        call()
+    assert name in str(info.value)
 
 
 def test_monte_carlo_workers_capped_at_samples():

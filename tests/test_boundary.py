@@ -11,28 +11,30 @@ from su4euler import (
     SPECTRUM_UPPER,
     ValidationError,
     classify,
-    classify_chunks,
     cli,
-    corner_angles,
     corner_scan,
     is_entangled,
     rho_full,
     scan,
-    scan_angles,
     separability,
     validate_density_matrix,
 )
+from su4euler.separability import classify_chunks, corner_angles, scan_angles
 
 SPECTRUM_EDGES = list(itertools.product(*zip(SPECTRUM_LOWER, SPECTRUM_UPPER)))
 
 
+def listed(chunks):
+    return [(start, a.tolist(), t.tolist(), [col.tolist() for col in c])
+            for start, a, t, c in chunks]
+
+
 def run_angle_paths(capsys):
     """Outputs of every route that classifies states built from angles."""
-    records = scan(4100, seed=3, workers=2)
-    corners = corner_scan()
-    chunks = [(start, a.tolist(), t.tolist(), [col.tolist() for col in c])
-              for start, a, t, c in classify_chunks(
-                  scan_angles(300, seed=5, angle_profile="covering"), 1e-4)]
+    records = listed(scan(4100, seed=3, workers=2))
+    corners = listed(corner_scan())
+    chunks = listed(classify_chunks(
+        scan_angles(300, seed=5, angle_profile="covering"), 1e-4))
     assert cli.main(["scan", "--samples", "300", "--seed", "2",
                      "--format", "json"]) == 0
     return records, corners, chunks, capsys.readouterr().out

@@ -16,7 +16,7 @@ import pytest
 from su4euler import group_volume, range_profile, sample_haar_angles
 from su4euler.density import SPECTRUM_LOWER, SPECTRUM_UPPER
 from su4euler.haar import _DENSITY_FACTORS, _NORMALIZATION, CHUNK
-from su4euler.separability import scan_angles
+from su4euler.separability import scan, scan_angles
 
 
 def _streams(seed, workers, samples):
@@ -123,3 +123,15 @@ def test_scan_angles_memory_does_not_grow_with_samples():
             pass
 
     assert _peak_traced_bytes(consume) < 4 * 2**20
+
+
+def test_scan_memory_does_not_grow_with_samples():
+    # A list of per-state records peaks at ~11 MiB for 10^4 states and
+    # ~42 MiB for 5 * 10^4; the chunks stay flat.
+    def consume(samples):
+        return lambda: sum(len(a) for _, a, _, _ in scan(samples, seed=1))
+
+    small = _peak_traced_bytes(consume(10**4))
+    large = _peak_traced_bytes(consume(5 * 10**4))
+    assert large < 10 * 2**20
+    assert abs(large - small) < 2**20

@@ -135,6 +135,23 @@ def test_check_requires_input():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("angles", [
+    ("--alpha", "foo", "--theta", "1,2,3"),
+    ("--alpha", ZERO_ALPHA),
+    ("--theta", LOWER_THETA),
+    ("--alpha", ZERO_ALPHA, "--theta", LOWER_THETA, "--matrix", ""),
+], ids=["both-unparsable", "alpha", "theta", "empty-matrix-path"])
+def test_check_matrix_excludes_angles(tmp_path, bell_projector, angles):
+    path = tmp_path / "bell.mat"
+    write_matrix_file(path, bell_projector)
+    proc = run_cli("check", "--matrix", str(path), *angles)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert "--matrix" in stderr and "--alpha" in stderr and "--theta" in stderr
+    assert "foo" not in stderr  # the angles are not read
+
+
 def test_check_rejects_malformed_angle_expression():
     proc = run_cli("check", "--alpha", "__import__('os')," + ZERO_ALPHA,
                    "--theta", LOWER_THETA)
@@ -227,6 +244,18 @@ def test_volume_rejects_nonfinite_sample_count(samples):
                    "--samples", samples)
     assert proc.returncode == 2
     assert f"sample count must be finite, got {samples!r}" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("samples,status", [("2500.5", 2), ("1e3", 0)])
+def test_volume_sample_count_must_be_integral(samples, status):
+    proc = run_cli("volume", "--group", "su2", "--method", "mc",
+                   "--samples", samples)
+    assert proc.returncode == status
+    if status:
+        assert ("integer resolution of at least 1000 samples, got 2500.5"
+                in proc.stderr.decode())
+    else:
+        assert json.loads(proc.stdout)["config"]["resolution"] == 1000
 
 
 def test_volume_rejects_too_many_nodes():

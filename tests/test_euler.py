@@ -167,16 +167,25 @@ _NONFINITE = [np.nan, np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("bad", _NONFINITE, ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("build", [
-    lambda a: compose(SU4_GENERATOR_SEQUENCE, a[0]),
-    lambda a: compose(SU4_GENERATOR_SEQUENCE, a),
-    lambda a: compose_su4(a[0]),
-    lambda a: rho_full(a[0, :12], (1.0, 1.1, 1.2)),
-], ids=["compose-row", "compose-stack", "compose_su4", "rho_full"])
-def test_compose_names_first_nonfinite_angle(build, bad):
+@pytest.mark.parametrize("build,name", [
+    (lambda a: compose(SU4_GENERATOR_SEQUENCE, a[0]), "a5"),
+    (lambda a: compose(SU4_GENERATOR_SEQUENCE, a), "a5"),
+    (lambda a: compose_su4(a[0]), "a5"),
+    (lambda a: rho_full(a[0, :12], (1.0, 1.1, 1.2)), "a5"),
+    # The paper's names: a7..a14 for SU(3), mu, nu, xi for SU(2).
+    (lambda a: compose_su3(a[0, :8]), "a11"),
+    (lambda a: compose_su3(a[2, 1:9]), "a7"),
+    (lambda a: compose_su3(a[:, :8]), "a11"),
+    (lambda a: compose_su2(*a[2, :3]), "nu"),
+    (lambda a: compose_su2(*a[2, 1:4]), "mu"),
+], ids=["compose-row", "compose-stack", "compose_su4", "rho_full",
+        "compose_su3", "compose_su3-first", "compose_su3-stack", "compose_su2",
+        "compose_su2-first"])
+def test_compose_names_first_nonfinite_angle(build, name, bad):
     angles = np.full((3, 15), 0.5)
     angles[0, 4] = angles[2, 1] = bad
-    with pytest.raises(ValueError, match=rf"^angles must be finite, got a5 = {bad}$"):
+    with pytest.raises(ValueError,
+                       match=rf"^angles must be finite, got {name} = {bad}$"):
         build(angles)
 
 

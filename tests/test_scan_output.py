@@ -1,6 +1,6 @@
 """The streaming scan writer against a record-list reference writer.
 
-The reference builds the whole output from the ScanRecord lists of the
+The reference builds the whole output state by state from the chunks of the
 library's scan/corner_scan: every field through repr(float), and JSON as one
 json.dumps(sort_keys=True, indent=2) of the whole document.  The CLI writes
 the same bytes chunk by chunk from the classification columns.
@@ -21,18 +21,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _record_fields(rec) -> list:
-    return ([str(rec.sample_index)]
-            + [_fmt(a) for a in rec.alphas]
-            + [_fmt(t) for t in rec.thetas]
-            + [_fmt(rec.d), _fmt(rec.min_eig), str(rec.neg_count),
-               "entangled" if rec.entangled else "separable",
-               str(int(rec.boundary))])
+def _record_fields(chunks):
+    """The fields of each state, one list per state in sample order."""
+    for start, alphas, thetas, c in chunks:
+        for i in range(len(alphas)):
+            yield ([str(start + i)]
+                   + [_fmt(a) for a in alphas[i]]
+                   + [_fmt(t) for t in thetas[i]]
+                   + [_fmt(c.d[i]), _fmt(c.min_eig[i]), str(c.neg_count[i]),
+                      "entangled" if c.entangled[i] else "separable",
+                      str(int(c.boundary[i]))])
 
 
 def _summary(records) -> dict:
-    entangled = sum(r.entangled for r in records)
-    boundary = sum(r.boundary for r in records)
+    entangled = sum(r[-2] == "entangled" for r in records)
+    boundary = sum(r[-1] == "1" for r in records)
     return {
         "total": len(records),
         "entangled": entangled,
@@ -44,25 +47,26 @@ def _summary(records) -> dict:
 def reference_output(fmt, corners=False, samples=1000, seed=0,
                      profile="volume", tolerance=1e-10, workers=1) -> str:
     if corners:
-        records = corner_scan(tolerance)
+        chunks = corner_scan(tolerance)
         config = {"mode": "corners", "tolerance": tolerance}
     else:
-        records = scan(samples, seed=seed, angle_profile=profile,
-                       tolerance=tolerance, workers=workers)
+        chunks = scan(samples, seed=seed, angle_profile=profile,
+                      tolerance=tolerance, workers=workers)
         config = {"mode": "random", "samples": samples, "seed": seed,
                   "profile": profile, "tolerance": tolerance,
                   "workers": workers}
+    records = list(_record_fields(chunks))
     summary = _summary(records)
     if fmt == "csv":
         lines = [",".join(_HEADER)]
-        lines.extend(",".join(_record_fields(r)) for r in records)
+        lines.extend(map(",".join, records))
         lines.append("# summary separable={separable} entangled={entangled} "
                      "boundary={boundary} total={total}".format(**summary))
         return "\n".join(lines) + "\n"
     body = {
         "command": "scan",
         "config": config,
-        "records": [dict(zip(_HEADER, _record_fields(r))) for r in records],
+        "records": [dict(zip(_HEADER, r)) for r in records],
         "summary": summary,
         "version": __version__,
     }

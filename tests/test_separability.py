@@ -19,8 +19,9 @@ from su4euler import (
     scan,
     validate_density_matrix,
 )
+from su4euler.separability import classify_chunks, scan_angles
 
-from conftest import random_states
+from conftest import random_states, same_columns, scan_columns
 
 
 def random_density_matrix(rng):
@@ -334,68 +335,82 @@ def test_d_invariant_under_commuting_tail():
 # ------------------------------------------------------------------ scans
 
 def test_scan_deterministic_and_ordered():
-    a = scan(64, seed=5)
-    b = scan(64, seed=5)
-    assert a == b
-    assert [r.sample_index for r in a] == list(range(64))
-    c = scan(64, seed=6)
-    assert c != a
+    a = scan_columns(scan(64, seed=5))
+    b = scan_columns(scan(64, seed=5))
+    assert same_columns(a, b)
+    assert a.index.tolist() == list(range(64))
+    c = scan_columns(scan(64, seed=6))
+    assert not same_columns(c, a)
 
 
 def test_scan_worker_partitioning_deterministic():
-    a = scan(50, seed=5, workers=4)
-    b = scan(50, seed=5, workers=4)
-    assert a == b
-    assert [r.sample_index for r in a] == list(range(50))
+    a = scan_columns(scan(50, seed=5, workers=4))
+    b = scan_columns(scan(50, seed=5, workers=4))
+    assert same_columns(a, b)
+    assert a.index.tolist() == list(range(50))
 
 
 def test_scan_negative_count_bounded():
-    for record in scan(300, seed=12):
-        assert record.neg_count in (0, 1)
+    assert set(scan_columns(scan(300, seed=12)).neg_count.tolist()) <= {0, 1}
 
 
 def test_scan_fixed_spectrum_policy():
     theta = (np.pi / 4, np.arccos(1 / np.sqrt(3)), np.pi / 3)
-    records = scan(20, seed=13, spectrum_policy=theta)
-    for record in records:
-        assert record.thetas == theta
-        # Maximally mixed is unitarily invariant: always separable.
-        assert not record.entangled
-        assert abs(record.d - 1.0 / 256.0) < 1e-13
+    columns = scan_columns(scan(20, seed=13, spectrum_policy=theta))
+    assert (columns.thetas == theta).all()
+    # Maximally mixed is unitarily invariant: always separable.
+    assert not columns.entangled.any()
+    assert np.abs(columns.d - 1.0 / 256.0).max() < 1e-13
 
 
 def test_scan_covering_profile():
-    records = scan(20, seed=14, angle_profile="covering")
-    assert len(records) == 20
-    for record in records:
-        assert record.neg_count <= 1
+    columns = scan_columns(scan(20, seed=14, angle_profile="covering"))
+    assert len(columns.index) == 20
+    assert columns.neg_count.max() <= 1
 
 
 def test_scan_validation():
+    # Every argument is checked at the call, before a chunk is requested.
     with pytest.raises(ValueError):
         scan(0)
     with pytest.raises(ValueError):
         scan(10, workers=0)
     with pytest.raises(ValueError):
         scan(10, spectrum_policy=(1.0, 2.0))
+    with pytest.raises(ValueError, match="seed"):
+        scan(10, seed=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scan_angles(0),
+    lambda: scan_angles(10, seed=-1),
+    lambda: scan_angles(10, workers=0),
+    lambda: scan_angles(10, angle_profile="nope"),
+    lambda: scan_angles(10, spectrum_policy=(1.0, np.nan, 1.0)),
+    lambda: classify_chunks(iter([]), float("nan")),
+], ids=["samples", "seed", "workers", "profile", "spectrum", "tolerance"])
+def test_scan_parts_check_arguments_at_the_call(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_scan_records_reproduce_d():
-    for record in scan(40, seed=15):
-        verdict = is_entangled(rho_full(record.alphas, record.thetas))
-        assert abs(verdict.d_value - record.d) <= 1e-15
+    columns = scan_columns(scan(40, seed=15))
+    for i in range(40):
+        verdict = is_entangled(rho_full(columns.alphas[i], columns.thetas[i]))
+        assert abs(verdict.d_value - columns.d[i]) <= 1e-15
 
 
 def test_corner_scan_consistent_with_direct_classification():
-    records = corner_scan()
-    assert len(records) == 2**15
+    columns = scan_columns(corner_scan())
+    assert columns.index.tolist() == list(range(2**15))
     rng = np.random.default_rng(16)
     for idx in rng.integers(0, 2**15, size=25):
-        record = records[idx]
-        verdict = is_entangled(rho_full(record.alphas, record.thetas))
-        assert abs(verdict.d_value - record.d) <= 1e-13
-        assert verdict.entangled == record.entangled
+        alphas = columns.alphas[idx]
+        verdict = is_entangled(rho_full(alphas, columns.thetas[idx]))
+        assert abs(verdict.d_value - columns.d[idx]) <= 1e-13
+        assert verdict.entangled == columns.entangled[idx]
         # Bit b of the index selects the upper endpoint of parameter b.
         for b in range(12):
             expects_hi = (idx >> b) & 1
-            assert (record.alphas[b] > 0.0) == bool(expects_hi)
+            assert (alphas[b] > 0.0) == bool(expects_hi)
