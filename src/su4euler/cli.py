@@ -296,11 +296,10 @@ def cmd_scan(args) -> int:
         chunks = corner_scan(args.tolerance)
         config = {"mode": "corners", "tolerance": args.tolerance}
     else:
-        chunks = scan(args.samples, seed=args.seed, angle_profile=args.profile,
-                      tolerance=args.tolerance, workers=workers)
+        chunks = scan(args.samples, seed=args.seed, tolerance=args.tolerance,
+                      workers=workers)
         config = {"mode": "random", "samples": args.samples, "seed": args.seed,
-                  "profile": args.profile, "tolerance": args.tolerance,
-                  "workers": workers}
+                  "tolerance": args.tolerance, "workers": workers}
     pieces = _scan_pieces(args.format, config, chunks)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -369,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--samples", type=int, default=1000)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--tolerance", type=float, default=1e-10)
-    p_scan.add_argument("--profile", choices=["volume", "covering"],
-                        default="volume")
     p_scan.add_argument("--corners", action="store_true",
                         help="exhaustive 2^15 min/max corner scan")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")

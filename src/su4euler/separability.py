@@ -14,6 +14,7 @@ angles, valid by construction, and skip that check.
 
 import cmath
 import copy
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ import numpy as np
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
 from .errors import ValidationError
 from .euler import range_profile
-from .haar import chunk_sizes, sample_haar_angles, split_streams
+from .haar import _is_integer, chunk_sizes, sample_haar_angles, split_streams
 
 
 class CharPolyCoeffs(NamedTuple):
@@ -244,7 +245,8 @@ def _classify(rho: np.ndarray, tolerance: float, subsystem: str) -> Classificati
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if not 0.0 <= tolerance < np.inf:  # NaN fails both comparisons
+    # NaN fails both comparisons.
+    if not (isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < np.inf):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
 
@@ -297,12 +299,29 @@ def classify_chunks(chunks, tolerance: float):
     return classified()
 
 
-def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
-                spectrum_policy="uniform", workers: int = 1):
+def _fixed_spectrum(spectrum_policy):
+    """None for the "uniform" spectrum policy, else its three fixed angles."""
+    if isinstance(spectrum_policy, str) and spectrum_policy == "uniform":
+        return None
+    theta = (tuple(spectrum_policy) if np.iterable(spectrum_policy)
+             and not isinstance(spectrum_policy, str) else ())
+    if not (len(theta) == 3
+            and all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                    for t in theta)
+            and np.isfinite(theta).all()):
+        raise ValueError("spectrum_policy must be 'uniform' or three finite "
+                         f"angles, got {spectrum_policy!r}")
+    return tuple(map(float, theta))
+
+
+def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform",
+                workers: int = 1):
     """Iterator of the (alphas, thetas) of the states scan classifies, in
     sample order, as chunks of haar.CHUNK states (the last may be shorter)
     shaped (n, 12) and (n, 3).  The arguments are checked at the call.
 
+    The alphas are the first 12 of the 15 Haar angles drawn over the SU(4)
+    covering ranges, so the conjugations V(alphas) are Haar on the group.
     Each sub-stream of split_streams draws its n_w states piece by piece,
     a chunk taking pieces from as many sub-streams as it spans: the 15 Haar
     angles per state from the sub-stream's generator, and the uniform
@@ -310,15 +329,10 @@ def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
     sub-stream's 15 * n_w Haar doubles.  The draws therefore equal one Haar
     draw of the whole block followed by one spectrum draw.  See scan.
     """
-    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+    if not (_is_integer(samples) and samples >= 1):
         raise ValueError(f"samples must be >= 1 and an integer, got {samples!r}")
-    profile = range_profile("su4", angle_profile)
-    fixed_theta = None
-    if not (isinstance(spectrum_policy, str) and spectrum_policy == "uniform"):
-        fixed_theta = tuple(float(t) for t in spectrum_policy)
-        if len(fixed_theta) != 3 or not np.isfinite(fixed_theta).all():
-            raise ValueError("fixed spectrum policy needs three finite angles, "
-                             f"got {fixed_theta}")
+    profile = range_profile("su4", "covering")
+    fixed_theta = _fixed_spectrum(spectrum_policy)
     streams = split_streams(seed, workers, samples)
     lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
 
@@ -346,14 +360,16 @@ def scan_angles(samples: int, seed: int = 0, angle_profile: str = "volume",
     return drawn()
 
 
-def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
-         spectrum_policy="uniform", tolerance: float = 1e-10,
-         workers: int = 1):
-    """Classify random states drawn from the Haar angle sampler.
+def scan(samples: int, seed: int = 0, spectrum_policy="uniform",
+         tolerance: float = 1e-10, workers: int = 1):
+    """Classify random states V rho_d V^dagger with Haar-random V.
 
-    The 12 conjugation angles come from the Haar sampler restricted to
-    a1..a12; spectrum angles are uniform over their profile unless
-    spectrum_policy is a fixed (t1, t2, t3) triple.
+    The 12 conjugation angles are a1..a12 of the Haar sampler over the SU(4)
+    covering ranges, whose draws are Haar on the group (the volume ranges
+    are an integration domain, and their draws are not).  Spectrum angles
+    are uniform over their profile unless spectrum_policy is a fixed
+    (t1, t2, t3) triple of finite reals; anything but "uniform" or such a
+    triple raises ValueError.
 
     Returns an iterator of (start, alphas, thetas, Classification), one per
     chunk of at most haar.CHUNK states in sample order (start is the sample
@@ -364,8 +380,8 @@ def scan(samples: int, seed: int = 0, angle_profile: str = "volume",
     haar.split_streams): the output depends only on
     (seed, min(workers, samples)).
     """
-    return classify_chunks(scan_angles(samples, seed, angle_profile,
-                                       spectrum_policy, workers), tolerance)
+    return classify_chunks(scan_angles(samples, seed, spectrum_policy, workers),
+                           tolerance)
 
 
 def corner_angles():

@@ -144,7 +144,7 @@ def test_scan_across_chunk_boundary_equals_per_state_route():
 
 def test_scan_covering_and_fixed_spectrum_equal_per_state_route():
     theta = (1.0, 1.2, 1.4)
-    for chunks in (scan(100, seed=22, angle_profile="covering"),
+    for chunks in (scan(100, seed=22),
                    scan(100, seed=23, spectrum_policy=theta, workers=3)):
         assert_matches_per_state(scan_columns(chunks), range(100))
 
@@ -204,8 +204,13 @@ def test_scan_workers_capped_at_samples():
     (lambda: group_volume("su2", "monte_carlo", 1000.5), "resolution"),
     (lambda: group_volume("su2", "monte_carlo", 1000, workers=2.5), "workers"),
     (lambda: group_volume("su2", "quadrature", 12.5), "resolution"),
+    (lambda: scan(True), "samples"),
+    (lambda: scan(3, seed=True), "seed"),
+    (lambda: scan(3, workers=True), "workers"),
+    (lambda: group_volume("su2", "monte_carlo", 1000, seed=True), "seed"),
 ], ids=["scan-samples", "scan-float-samples", "scan-workers", "mc-resolution",
-        "mc-workers", "quad-resolution"])
+        "mc-workers", "quad-resolution", "scan-bool-samples", "scan-bool-seed",
+        "scan-bool-workers", "mc-bool-seed"])
 def test_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match="integer") as info:
         call()
@@ -228,6 +233,10 @@ def test_split_streams_contiguous_blocks_from_spawned_children():
     assert [n for _, n in split_streams(3, 10**12, 2)] == [1, 1]
     with pytest.raises(ValueError, match="workers must be >= 1"):
         split_streams(3, 0, 10)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        split_streams(0, True, 10)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        split_streams(True, 2, 10)
 
 
 def test_cli_config_echoes_requested_workers(capsys):

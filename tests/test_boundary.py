@@ -34,7 +34,7 @@ def run_angle_paths(capsys):
     records = listed(scan(4100, seed=3, workers=2))
     corners = listed(corner_scan())
     chunks = listed(classify_chunks(
-        scan_angles(300, seed=5, angle_profile="covering"), 1e-4))
+        scan_angles(300, seed=5), 1e-4))
     assert cli.main(["scan", "--samples", "300", "--seed", "2",
                      "--format", "json"]) == 0
     return records, corners, chunks, capsys.readouterr().out
@@ -69,10 +69,9 @@ def test_corner_states_pass_validation():
     assert_valid(corner_angles())
 
 
-@pytest.mark.parametrize("profile", ["volume", "covering"])
-def test_haar_states_pass_validation(profile):
+def test_haar_states_pass_validation():
     # 5000 states span the 4096-state chunk boundary.
-    assert_valid(scan_angles(5000, seed=11, angle_profile=profile))
+    assert_valid(scan_angles(5000, seed=11))
 
 
 @pytest.mark.parametrize("theta", SPECTRUM_EDGES + [(1.0, 1.1, 1.2)])

@@ -49,10 +49,10 @@ def whole_array_monte_carlo(group, samples, seed, workers):
     return scale * mean, scale * np.sqrt(var / samples)
 
 
-def whole_stream_scan_angles(samples, seed, workers, angle_profile="volume",
-                             spectrum_policy="uniform"):
-    """Per sub-stream: all Haar angles, then all uniform spectrum angles."""
-    profile = range_profile("su4", angle_profile)
+def whole_stream_scan_angles(samples, seed, workers, spectrum_policy="uniform"):
+    """Per sub-stream: all Haar angles over the covering ranges, then all
+    uniform spectrum angles."""
+    profile = range_profile("su4", "covering")
     lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
     alphas, thetas = [], []
     for rng, n_w in _streams(seed, workers, samples):
@@ -82,7 +82,7 @@ DRAW_CASES = [
     (7, 3, 10000, {}),
     (3, 3, 4097, {}),
     (2, 50, 333, {}),
-    (2, 1, 333, {"angle_profile": "covering"}),
+    (2, 1, 333, {}),
     (23, 3, 5000, {"spectrum_policy": (1.0, 1.2, 1.4)}),
 ]
 

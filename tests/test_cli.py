@@ -343,6 +343,13 @@ def test_scan_bad_sample_count_writes_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_scan_has_no_profile_flag():
+    # Scans draw their conjugations over the covering ranges only.
+    proc = run_cli("scan", "--samples", "5", "--profile", "covering")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --profile" in proc.stderr.decode()
+
+
 def test_scan_unwritable_output():
     proc = run_cli("scan", "--samples", "5", "--output", "/nonexistent/dir/x.csv")
     assert proc.returncode != 0

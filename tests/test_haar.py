@@ -1,13 +1,18 @@
 """One-form coefficients, closed-form density, volumes, Haar sampling."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from su4euler import (
+    SU2_GENERATOR_SEQUENCE,
     SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
     analytic_volume,
+    compose,
     compose_su3,
     compose_su4,
     exp_generator,
@@ -311,6 +316,40 @@ def test_entry_distribution_matches_qr_haar_oracle():
     theirs = np.array([abs(qr_haar(rng)[0, 0]) ** 2 for _ in range(n)])
     stat = stats.ks_2samp(ours, theirs).statistic
     assert stat < KS_C01 * np.sqrt(2.0 / n)
+
+
+@functools.cache
+def covering_traces(group):
+    """tr U of 10^5 elements of SU(N) composed from sample_haar_angles over
+    the covering ranges (N x N block of the embedded 4x4)."""
+    n, sequence = {"su2": (2, SU2_GENERATOR_SEQUENCE),
+                   "su3": (3, SU3_GENERATOR_SEQUENCE),
+                   "su4": (4, SU4_GENERATOR_SEQUENCE)}[group]
+    angles = sample_haar_angles(np.random.default_rng(5),
+                                range_profile(group, "covering"), size=10**5)
+    return np.trace(compose(sequence, angles)[:, :n, :n], axis1=1, axis2=2)
+
+
+# Haar moments on SU(N) (Diaconis & Shahshahani, J. Appl. Probab. 31A, 1994):
+# E tr U = 0 and E|tr U|^{2k} = k! for k <= N.  Draws over the volume ranges
+# read |E tr U| = 0.54, 0.44 and 0.76 (155 to 292 standard errors here),
+# and on SU(4) E|tr U|^{2k} = 1.27, 2.86, 9.04 and 36.8.  |U_11|^2 cannot
+# tell the two range kinds apart; these moments can.
+@pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+def test_haar_trace_has_zero_mean(group):
+    traces = covering_traces(group)
+    mean = traces.mean()
+    standard_error = np.sqrt(np.mean(abs(traces - mean) ** 2) / len(traces))
+    assert abs(mean) <= 5.0 * standard_error
+
+
+@pytest.mark.parametrize("group,n", [("su2", 2), ("su3", 3), ("su4", 4)])
+def test_haar_trace_moments_count_permutations(group, n):
+    traces = covering_traces(group)
+    for k in range(1, n + 1):
+        powers = abs(traces) ** (2 * k)
+        standard_error = powers.std(ddof=1) / np.sqrt(len(powers))
+        assert abs(powers.mean() - math.factorial(k)) <= 5.0 * standard_error, k
 
 
 def test_sampled_angles_compose_like_profile():

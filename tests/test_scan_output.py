@@ -45,16 +45,14 @@ def _summary(records) -> dict:
 
 
 def reference_output(fmt, corners=False, samples=1000, seed=0,
-                     profile="volume", tolerance=1e-10, workers=1) -> str:
+                     tolerance=1e-10, workers=1) -> str:
     if corners:
         chunks = corner_scan(tolerance)
         config = {"mode": "corners", "tolerance": tolerance}
     else:
-        chunks = scan(samples, seed=seed, angle_profile=profile,
-                      tolerance=tolerance, workers=workers)
+        chunks = scan(samples, seed=seed, tolerance=tolerance, workers=workers)
         config = {"mode": "random", "samples": samples, "seed": seed,
-                  "profile": profile, "tolerance": tolerance,
-                  "workers": workers}
+                  "tolerance": tolerance, "workers": workers}
     records = list(_record_fields(chunks))
     summary = _summary(records)
     if fmt == "csv":
@@ -84,7 +82,7 @@ CASES = {
     "default": {"samples": 50, "seed": 4},
     "one-sample": {"samples": 1},
     "chunk-boundary": {"samples": 4097, "seed": 3, "workers": 3},
-    "covering": {"samples": 333, "seed": 2, "profile": "covering"},
+    "covering": {"samples": 333, "seed": 2},
     "tolerance": {"samples": 300, "seed": 9, "tolerance": 1e-4},
     "corners": {"corners": True},
 }
@@ -119,10 +117,10 @@ def test_nondefault_tolerance_moves_tallies():
 
 
 @pytest.mark.parametrize("args,tally", [
-    (["--samples", "10000", "--seed", "1"], (2901, 7099, 0)),
-    (["--samples", "10000", "--seed", "7", "--workers", "3"], (2884, 7116, 0)),
-    (["--samples", "333", "--seed", "2", "--profile", "covering"], (106, 227, 0)),
-    (["--samples", "5000", "--seed", "9", "--tolerance", "1e-3"], (649, 2563, 1788)),
+    (["--samples", "10000", "--seed", "1"], (2933, 7067, 0)),
+    (["--samples", "10000", "--seed", "7", "--workers", "3"], (2901, 7099, 0)),
+    (["--samples", "333", "--seed", "2"], (106, 227, 0)),
+    (["--samples", "5000", "--seed", "9", "--tolerance", "1e-3"], (640, 2557, 1803)),
     (["--corners"], (4096, 0, 28672)),
 ], ids=["seed1", "seed7-workers3", "covering", "tolerance", "corners"])
 def test_golden_scan_tallies(tmp_path, args, tally):

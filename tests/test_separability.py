@@ -14,6 +14,7 @@ from su4euler import (
     eigenvalues_via_resolvent,
     is_entangled,
     partial_transpose,
+    range_profile,
     resolvent_roots,
     rho_full,
     scan,
@@ -296,7 +297,7 @@ def test_validate_rejects_nonfinite_entries(row, col, value):
         validate_density_matrix(stack)
 
 
-@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf, "x"])
 def test_classify_rejects_bad_tolerance(tolerance):
     with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
         is_entangled(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), tolerance)
@@ -364,9 +365,27 @@ def test_scan_fixed_spectrum_policy():
 
 
 def test_scan_covering_profile():
-    columns = scan_columns(scan(20, seed=14, angle_profile="covering"))
-    assert len(columns.index) == 20
+    # The conjugation angles fill the covering ranges, which reach past the
+    # volume ranges on a3, a5 and a9.
+    columns = scan_columns(scan(200, seed=14))
+    covering = range_profile("su4", "covering").lengths()[:12]
+    volume = range_profile("su4", "volume").lengths()[:12]
+    assert ((columns.alphas >= 0.0) & (columns.alphas <= covering)).all()
+    wider = covering > volume
+    assert (columns.alphas[:, wider].max(axis=0) > volume[wider]).all()
     assert columns.neg_count.max() <= 1
+
+
+def test_scan_states_average_to_maximally_mixed():
+    # Over Haar V, E[V rho_d V^dagger] = tr(rho_d) I / 4 = I / 4 entry by
+    # entry.  Conjugations drawn over the volume ranges miss it by up to
+    # 0.044 off the diagonal, ~78 standard errors at this size.
+    n = 20_000
+    rho = np.concatenate([rho_full(a, t) for _, a, t, _ in
+                          scan(n, seed=5, spectrum_policy=(1.0, 1.2, 1.4))])
+    mean = rho.mean(axis=0)
+    standard_error = np.sqrt(np.mean(abs(rho - mean) ** 2, axis=0) / n)
+    assert (abs(mean - np.eye(4) / 4.0) <= 5.0 * standard_error).all()
 
 
 def test_scan_validation():
@@ -379,18 +398,29 @@ def test_scan_validation():
         scan(10, spectrum_policy=(1.0, 2.0))
     with pytest.raises(ValueError, match="seed"):
         scan(10, seed=-1)
+    with pytest.raises(TypeError, match="angle_profile"):
+        scan(10, angle_profile="covering")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: scan_angles(0),
-    lambda: scan_angles(10, seed=-1),
-    lambda: scan_angles(10, workers=0),
-    lambda: scan_angles(10, angle_profile="nope"),
-    lambda: scan_angles(10, spectrum_policy=(1.0, np.nan, 1.0)),
-    lambda: classify_chunks(iter([]), float("nan")),
-], ids=["samples", "seed", "workers", "profile", "spectrum", "tolerance"])
-def test_scan_parts_check_arguments_at_the_call(call):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("call,name", [
+    (lambda: scan_angles(0), "samples"),
+    (lambda: scan_angles(10, seed=-1), "seed"),
+    (lambda: scan_angles(10, workers=0), "workers"),
+    # A range name where the spectrum policy goes, as the third positional
+    # argument once named the angle ranges.
+    (lambda: scan(10, 1, "covering"), "spectrum_policy"),
+    (lambda: scan_angles(10, spectrum_policy=(1.0, np.nan, 1.0)), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy="123"), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy="Uniform"), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy=None), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy=5), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy=("1", "2", "3")), "spectrum_policy"),
+    (lambda: classify_chunks(iter([]), float("nan")), "tolerance"),
+], ids=["samples", "seed", "workers", "profile", "spectrum", "spectrum-digits",
+        "spectrum-case", "spectrum-none", "spectrum-scalar", "spectrum-strings",
+        "tolerance"])
+def test_scan_parts_check_arguments_at_the_call(call, name):
+    with pytest.raises(ValueError, match=name):
         call()
 
 
