@@ -14,7 +14,6 @@ import ast
 import json
 import math
 import operator
-import os
 import sys
 import time
 import warnings
@@ -28,8 +27,6 @@ from .errors import ConsistencyError, ValidationError
 from .euler import compose_su4
 from .haar import analytic_volume, group_volume
 from .separability import corner_scan, is_entangled, scan
-
-WORKERS_ENV = "SU4EULER_WORKERS"
 
 _ALLOWED_NAMES = {"pi": math.pi, "e": math.e, "tau": math.tau}
 _ALLOWED_FUNCS = {
@@ -141,16 +138,6 @@ def _emit_envelope(command, config, payload, timing_started=None):
     print(_dump(envelope))
 
 
-def _default_workers() -> int:
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {_shown(text)}")
-
-
 def _rho_from_args(args) -> tuple:
     """Build (rho, theta, alphas) from --alpha/--theta flags."""
     alphas = parse_angle_list(args.alpha, (12, 15))
@@ -193,9 +180,7 @@ def cmd_volume(args) -> int:
                 f"Monte Carlo sample count must be finite, got {args.samples!r}")
         # group_volume rejects a count with a fractional part, such as 2500.5.
         resolution = int(samples) if samples.is_integer() else samples
-    workers = args.workers if args.workers is not None else _default_workers()
-    result = group_volume(args.group, method, resolution, seed=args.seed,
-                          workers=workers)
+    result = group_volume(args.group, method, resolution, seed=args.seed)
     target = analytic_volume(args.group)
     payload = {
         "estimate": result.estimate,
@@ -207,7 +192,7 @@ def cmd_volume(args) -> int:
         "method": result.method,
     }
     config = {"group": args.group, "method": args.method,
-              "resolution": resolution, "seed": args.seed, "workers": workers}
+              "resolution": resolution, "seed": args.seed}
     _emit_envelope("volume", config, payload, started)
     return 0
 
@@ -291,15 +276,13 @@ def _scan_pieces(fmt: str, config: dict, chunks):
 
 
 def cmd_scan(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
     if args.corners:
         chunks = corner_scan(args.tolerance)
         config = {"mode": "corners", "tolerance": args.tolerance}
     else:
-        chunks = scan(args.samples, seed=args.seed, tolerance=args.tolerance,
-                      workers=workers)
+        chunks = scan(args.samples, seed=args.seed, tolerance=args.tolerance)
         config = {"mode": "random", "samples": args.samples, "seed": args.seed,
-                  "tolerance": args.tolerance, "workers": workers}
+                  "tolerance": args.tolerance}
     pieces = _scan_pieces(args.format, config, chunks)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -349,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--samples", default="100000",
                        help="Monte Carlo sample count (accepts 1e6 style)")
     p_vol.add_argument("--seed", type=int, default=0)
-    p_vol.add_argument("--workers", type=int, default=None,
-                       help=f"Monte Carlo sub-streams (default ${WORKERS_ENV} or 1)")
     p_vol.add_argument("--timing", action="store_true",
                        help="include elapsed time (breaks byte-identical output)")
     p_vol.set_defaults(func=cmd_volume)
@@ -373,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     p_scan.add_argument("--output", default=None,
                         help="output path (default: stdout)")
-    p_scan.add_argument("--workers", type=int, default=None)
     p_scan.set_defaults(func=cmd_scan)
 
     p_rho = sub.add_parser("rho", help="print a density matrix and its spectrum")

@@ -4,7 +4,9 @@ closed-form density, group volumes, and Haar sampling.
 The density with respect to da1..da15 factorizes into one-dimensional
 trigonometric factors in six of the fifteen angles, which makes volume
 quadrature a product of 1-D quadratures and Haar sampling a set of
-independent inverse-CDF draws.
+independent inverse-CDF draws.  One generator therefore serves a whole
+seeded draw (a Monte Carlo volume, a scan's angles), and its output depends
+only on the seed and the sample count.
 
 Two range kinds serve two jobs.  The covering ranges parametrize every
 group element, and angles drawn over them by sample_haar_angles give Haar
@@ -216,35 +218,25 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def split_streams(seed: int, workers: int, samples: int):
-    """RNG sub-streams for a seeded draw of samples values.
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The one generator of a seeded draw: child 0 of SeedSequence(seed).
 
-    workers counts sub-streams, not processes: the samples split into
-    min(workers, samples) contiguous blocks, block w drawn from child w of
-    SeedSequence(seed).  Yields (generator, block size) in sample order, so
-    a draw depends only on (seed, min(workers, samples)).  A stream past the
-    sample count would draw nothing; spawning it would still cost time and
-    memory.
+    Child 0, not the root sequence, is the stream the golden seeded outputs
+    were drawn from, so they keep their bytes.
     """
     if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    if not (_is_integer(workers) and workers >= 1):
-        raise ValueError(f"workers must be >= 1 and an integer, got {workers!r}")
-    workers = min(workers, samples)
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    return ((np.random.default_rng(stream),
-             samples // workers + (1 if w < samples % workers else 0))
-            for w, stream in enumerate(streams))
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
-def _monte_carlo_volume(group: str, samples: int, seed: int, workers: int):
+def _monte_carlo_volume(group: str, samples: int, seed: int):
     """Uniform-proposal Monte Carlo over the nontrivial axes.
 
     The estimator averages the factorized density at uniform draws and
     multiplies by the box volume and the exact trivial-axis lengths; the
-    standard error comes from the sample variance.  The draw is split into
-    RNG sub-streams by split_streams, and each sub-stream is drawn and
-    summed in chunks of CHUNK rows, so memory does not grow with samples.
+    standard error comes from the sample variance.  The draw comes from one
+    seeded generator and is drawn and summed in chunks of CHUNK rows, so
+    memory does not grow with samples.
     """
     profile = range_profile(group, "volume")
     factors = _DENSITY_FACTORS[group]
@@ -258,31 +250,30 @@ def _monte_carlo_volume(group: str, samples: int, seed: int, workers: int):
             trivial *= hi - lo
     scale = _NORMALIZATION[group] * trivial * box
 
+    rng = _seeded_rng(seed)
     total = 0.0
     total_sq = 0.0
-    for rng, n_w in split_streams(seed, workers, samples):
-        for n in chunk_sizes(n_w):
-            u = rng.random((n, len(axes)))
-            vals = np.ones(n)
-            for col, axis in enumerate(axes):
-                lo, hi = profile.bounds[axis]
-                vals *= factors[axis][0](lo + (hi - lo) * u[:, col])
-            total += float(vals.sum())
-            total_sq += float((vals**2).sum())
+    for n in chunk_sizes(samples):
+        u = rng.random((n, len(axes)))
+        vals = np.ones(n)
+        for col, axis in enumerate(axes):
+            lo, hi = profile.bounds[axis]
+            vals *= factors[axis][0](lo + (hi - lo) * u[:, col])
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
     return scale * mean, scale * np.sqrt(var / samples)
 
 
 def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
-                 seed: int = 0, workers: int = 1) -> VolumeResult:
+                 seed: int = 0) -> VolumeResult:
     """Integrate the Haar density over the volume ranges and apply the
     center normalization.
 
     resolution is nodes per nontrivial axis (quadrature, 2 to 1024) or the
-    total sample count (Monte Carlo, >= 1000).  For Monte Carlo, workers counts
-    RNG sub-streams run serially in one process, and the estimate depends
-    only on (seed, min(workers, resolution)).
+    total sample count (Monte Carlo, >= 1000).  A Monte Carlo estimate
+    depends only on (group, resolution, seed).
     """
     g = normalize_group(group)
     if method == "quadrature":
@@ -297,7 +288,7 @@ def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
         if not (_is_integer(resolution) and resolution >= 1000):
             raise ValueError("Monte Carlo needs an integer resolution of at least "
                              f"1000 samples, got {resolution!r}")
-        est, se = _monte_carlo_volume(g, resolution, seed, workers)
+        est, se = _monte_carlo_volume(g, resolution, seed)
         return VolumeResult(est, se, "monte_carlo", resolution, _NORMALIZATION[g])
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")
 

@@ -23,7 +23,7 @@ import numpy as np
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
 from .errors import ValidationError
 from .euler import range_profile
-from .haar import _is_integer, chunk_sizes, sample_haar_angles, split_streams
+from .haar import _is_integer, _seeded_rng, chunk_sizes, sample_haar_angles
 
 
 class CharPolyCoeffs(NamedTuple):
@@ -245,8 +245,9 @@ def _classify(rho: np.ndarray, tolerance: float, subsystem: str) -> Classificati
 
 
 def _check_tolerance(tolerance: float) -> None:
-    # NaN fails both comparisons.
-    if not (isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < np.inf):
+    # NaN fails both comparisons; bool is a Real but no tolerance.
+    if not (isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
+            and 0.0 <= tolerance < np.inf):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
 
@@ -305,63 +306,51 @@ def _fixed_spectrum(spectrum_policy):
         return None
     theta = (tuple(spectrum_policy) if np.iterable(spectrum_policy)
              and not isinstance(spectrum_policy, str) else ())
-    if not (len(theta) == 3
-            and all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                    for t in theta)
-            and np.isfinite(theta).all()):
+    try:
+        fixed = tuple(float(t) for t in theta
+                      if isinstance(t, numbers.Real) and not isinstance(t, bool))
+    except OverflowError:  # an int too large for a float
+        fixed = ()
+    if not (len(theta) == len(fixed) == 3 and np.isfinite(fixed).all()):
         raise ValueError("spectrum_policy must be 'uniform' or three finite "
                          f"angles, got {spectrum_policy!r}")
-    return tuple(map(float, theta))
+    return fixed
 
 
-def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform",
-                workers: int = 1):
+def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform"):
     """Iterator of the (alphas, thetas) of the states scan classifies, in
     sample order, as chunks of haar.CHUNK states (the last may be shorter)
     shaped (n, 12) and (n, 3).  The arguments are checked at the call.
 
     The alphas are the first 12 of the 15 Haar angles drawn over the SU(4)
     covering ranges, so the conjugations V(alphas) are Haar on the group.
-    Each sub-stream of split_streams draws its n_w states piece by piece,
-    a chunk taking pieces from as many sub-streams as it spans: the 15 Haar
-    angles per state from the sub-stream's generator, and the uniform
-    spectrum angles from a copy of that generator advanced past the
-    sub-stream's 15 * n_w Haar doubles.  The draws therefore equal one Haar
-    draw of the whole block followed by one spectrum draw.  See scan.
+    The 15 Haar angles per state come from the seeded generator, and the
+    uniform spectrum angles from a copy of it advanced past all
+    15 * samples Haar doubles.  The chunks therefore equal one Haar draw of
+    every state followed by one spectrum draw.  See scan.
     """
     if not (_is_integer(samples) and samples >= 1):
         raise ValueError(f"samples must be >= 1 and an integer, got {samples!r}")
     profile = range_profile("su4", "covering")
     fixed_theta = _fixed_spectrum(spectrum_policy)
-    streams = split_streams(seed, workers, samples)
+    rng = _seeded_rng(seed)
+    spectrum = np.random.Generator(
+        copy.deepcopy(rng.bit_generator).advance(profile.dim * samples))
     lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
 
     def drawn():
-        left = 0  # states not yet drawn from the current sub-stream
-        for size in chunk_sizes(samples):
-            alphas, thetas = [], []
-            while size:
-                if not left:
-                    rng, left = next(streams)
-                    spectrum = np.random.Generator(
-                        copy.deepcopy(rng.bit_generator).advance(profile.dim * left))
-                n = min(size, left)
-                alphas.append(sample_haar_angles(rng, profile, size=n)[:, :12])
-                if fixed_theta is None:
-                    thetas.append(lo + (hi - lo) * spectrum.random((n, 3)))
-                size -= n
-                left -= n
-            alphas = np.concatenate(alphas)
+        for n in chunk_sizes(samples):
+            alphas = sample_haar_angles(rng, profile, n)[:, :12]
             if fixed_theta is None:
-                yield alphas, np.concatenate(thetas)
+                yield alphas, lo + (hi - lo) * spectrum.random((n, 3))
             else:
-                yield alphas, np.broadcast_to(fixed_theta, (len(alphas), 3))
+                yield alphas, np.broadcast_to(fixed_theta, (n, 3))
 
     return drawn()
 
 
 def scan(samples: int, seed: int = 0, spectrum_policy="uniform",
-         tolerance: float = 1e-10, workers: int = 1):
+         tolerance: float = 1e-10):
     """Classify random states V rho_d V^dagger with Haar-random V.
 
     The 12 conjugation angles are a1..a12 of the Haar sampler over the SU(4)
@@ -374,14 +363,11 @@ def scan(samples: int, seed: int = 0, spectrum_policy="uniform",
     Returns an iterator of (start, alphas, thetas, Classification), one per
     chunk of at most haar.CHUNK states in sample order (start is the sample
     index of the chunk's first state), so memory does not grow with samples.
-    Every argument is checked at the call, before any state is drawn.
-
-    workers counts RNG sub-streams, drawn serially in this process (see
-    haar.split_streams): the output depends only on
-    (seed, min(workers, samples)).
+    Every argument is checked at the call, before any state is drawn.  All
+    states come from one seeded generator: the output depends only on the
+    arguments.
     """
-    return classify_chunks(scan_angles(samples, seed, spectrum_policy, workers),
-                           tolerance)
+    return classify_chunks(scan_angles(samples, seed, spectrum_policy), tolerance)
 
 
 def corner_angles():

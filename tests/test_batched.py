@@ -1,8 +1,7 @@
 """The stacked compose -> conjugate -> classify kernel against the
-per-state route, bit for bit, plus the worker-count cap."""
+per-state route, bit for bit, plus the argument checks of the seeded draws."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from su4euler import (
 )
 from su4euler.separability import corner_angles
 
-from conftest import same_columns, scan_columns
+from conftest import scan_columns
 
 
 def assert_matches_per_state(columns, rows):
@@ -130,22 +129,22 @@ def test_rho_full_stack_equals_per_state():
         assert np.array_equal(stack[i], rho_full(alphas[i], thetas[i]))
 
 
-@pytest.mark.parametrize("seed,workers", [(1, 1), (7, 3), (15, 4), (2, 50)])
-def test_scan_records_equal_per_state_route(seed, workers):
-    columns = scan_columns(scan(150, seed=seed, workers=workers))
+@pytest.mark.parametrize("seed", [1, 7, 15, 2])
+def test_scan_records_equal_per_state_route(seed):
+    columns = scan_columns(scan(150, seed=seed))
     assert columns.index.tolist() == list(range(150))
     assert_matches_per_state(columns, range(150))
 
 
 def test_scan_across_chunk_boundary_equals_per_state_route():
-    columns = scan_columns(scan(4200, seed=21, workers=2))
+    columns = scan_columns(scan(4200, seed=21))
     assert_matches_per_state(columns, [*range(4000, 4200), *range(0, 4000, 97)])
 
 
 def test_scan_covering_and_fixed_spectrum_equal_per_state_route():
     theta = (1.0, 1.2, 1.4)
     for chunks in (scan(100, seed=22),
-                   scan(100, seed=23, spectrum_policy=theta, workers=3)):
+                   scan(100, seed=23, spectrum_policy=theta)):
         assert_matches_per_state(scan_columns(chunks), range(100))
 
 
@@ -191,61 +190,29 @@ def test_validate_stack_names_invariant_and_state():
         validate_density_matrix(np.ones((2, 3, 3)))
 
 
-def test_scan_workers_capped_at_samples():
-    # Workers are RNG sub-streams: no process or thread is started.
-    assert same_columns(scan_columns(scan(5, seed=1, workers=10**12)),
-                        scan_columns(scan(5, seed=1, workers=5)))
-
-
 @pytest.mark.parametrize("call,name", [
     (lambda: scan(10.5), "samples"),
     (lambda: scan(np.float64(10)), "samples"),
-    (lambda: scan(10, workers=2.5), "workers"),
     (lambda: group_volume("su2", "monte_carlo", 1000.5), "resolution"),
-    (lambda: group_volume("su2", "monte_carlo", 1000, workers=2.5), "workers"),
     (lambda: group_volume("su2", "quadrature", 12.5), "resolution"),
     (lambda: scan(True), "samples"),
     (lambda: scan(3, seed=True), "seed"),
-    (lambda: scan(3, workers=True), "workers"),
     (lambda: group_volume("su2", "monte_carlo", 1000, seed=True), "seed"),
-], ids=["scan-samples", "scan-float-samples", "scan-workers", "mc-resolution",
-        "mc-workers", "quad-resolution", "scan-bool-samples", "scan-bool-seed",
-        "scan-bool-workers", "mc-bool-seed"])
+], ids=["scan-samples", "scan-float-samples", "mc-resolution", "quad-resolution",
+        "scan-bool-samples", "scan-bool-seed", "mc-bool-seed"])
 def test_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match="integer") as info:
         call()
     assert name in str(info.value)
 
 
-def test_monte_carlo_workers_capped_at_samples():
-    capped = group_volume("su2", "monte_carlo", 1000, workers=10**12)
-    assert capped == group_volume("su2", "monte_carlo", 1000, workers=1000)
+def test_seeded_draws_use_first_spawned_child():
+    from su4euler.haar import _seeded_rng
 
-
-def test_split_streams_contiguous_blocks_from_spawned_children():
-    from su4euler.haar import split_streams
-
-    blocks = list(split_streams(3, 4, 10))
-    assert [n for _, n in blocks] == [3, 3, 2, 2]
-    children = np.random.SeedSequence(3).spawn(4)
-    for (rng, _), child in zip(blocks, children):
-        assert rng.random() == np.random.default_rng(child).random()
-    assert [n for _, n in split_streams(3, 10**12, 2)] == [1, 1]
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        split_streams(3, 0, 10)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        split_streams(0, True, 10)
+    child = np.random.SeedSequence(3).spawn(1)[0]
+    expected = np.random.default_rng(child).random(4)
+    assert np.array_equal(_seeded_rng(3).random(4), expected)
     with pytest.raises(ValueError, match="seed must be an integer"):
-        split_streams(True, 2, 10)
-
-
-def test_cli_config_echoes_requested_workers(capsys):
-    from su4euler.cli import main
-
-    assert main(["scan", "--samples", "3", "--seed", "1", "--workers",
-                 str(10**12), "--format", "json"]) == 0
-    capped = json.loads(capsys.readouterr().out)
-    assert capped["config"]["workers"] == 10**12
-    assert main(["scan", "--samples", "3", "--seed", "1", "--workers", "3",
-                 "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["records"] == capped["records"]
+        _seeded_rng(True)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        _seeded_rng(-1)

@@ -31,7 +31,7 @@ def listed(chunks):
 
 def run_angle_paths(capsys):
     """Outputs of every route that classifies states built from angles."""
-    records = listed(scan(4100, seed=3, workers=2))
+    records = listed(scan(4100, seed=3))
     corners = listed(corner_scan())
     chunks = listed(classify_chunks(
         scan_angles(300, seed=5), 1e-4))

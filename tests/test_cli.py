@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -350,6 +351,16 @@ def test_scan_has_no_profile_flag():
     assert "unrecognized arguments: --profile" in proc.stderr.decode()
 
 
+@pytest.mark.parametrize("args", [
+    ("scan", "--samples", "5"),
+    ("volume", "--group", "su2", "--method", "mc", "--samples", "1000"),
+], ids=["scan", "volume-mc"])
+def test_no_workers_flag(args):
+    proc = run_cli(*args, "--workers", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --workers" in proc.stderr.decode()
+
+
 def test_scan_unwritable_output():
     proc = run_cli("scan", "--samples", "5", "--output", "/nonexistent/dir/x.csv")
     assert proc.returncode != 0
@@ -382,37 +393,17 @@ def test_rho_eigenvalues_match_spectrum_random_angles():
                        atol=1e-12)
 
 
-def test_workers_env_variable_and_flag_override():
-    import os
-    base = dict(os.environ)
-    args = [sys.executable, "-m", "su4euler", "volume", "--group", "su2",
-            "--method", "mc", "--samples", "5000", "--seed", "9"]
-    with_env = subprocess.run(args, capture_output=True, timeout=300,
-                              env={**base, "SU4EULER_WORKERS": "2"})
-    with_flag = subprocess.run(args + ["--workers", "2"], capture_output=True,
-                               timeout=300, env=base)
-    assert json.loads(with_env.stdout)["payload"] == json.loads(with_flag.stdout)["payload"]
-    # Flag wins over the environment.
-    override = subprocess.run(args + ["--workers", "1"], capture_output=True,
-                              timeout=300, env={**base, "SU4EULER_WORKERS": "2"})
-    plain = subprocess.run(args, capture_output=True, timeout=300, env=base)
-    assert json.loads(override.stdout)["payload"] == json.loads(plain.stdout)["payload"]
-
-
-@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3"])
-@pytest.mark.parametrize("args", [
-    ("scan", "--samples", "3"),
-    ("volume", "--group", "su2", "--method", "quad", "--nodes", "8"),
-], ids=["scan", "volume-quad"])
-def test_bad_workers_env_variable_named(args, value):
-    import os
-    proc = subprocess.run([sys.executable, "-m", "su4euler", *args],
-                          capture_output=True, timeout=300,
-                          env={**os.environ, "SU4EULER_WORKERS": value})
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert (f"SU4EULER_WORKERS must be an integer >= 1, got {value!r}"
-            in proc.stderr.decode())
+def test_workers_env_variable_is_ignored():
+    # Every seeded draw uses one stream; the variable has no meaning.
+    args = ("scan", "--samples", "5", "--seed", "1")
+    base = {k: v for k, v in os.environ.items() if k != "SU4EULER_WORKERS"}
+    plain = subprocess.run([sys.executable, "-m", "su4euler", *args],
+                           capture_output=True, timeout=300, env=base)
+    ignored = subprocess.run([sys.executable, "-m", "su4euler", *args],
+                             capture_output=True, timeout=300,
+                             env={**base, "SU4EULER_WORKERS": "abc"})
+    assert plain.returncode == ignored.returncode == 0
+    assert ignored.stdout == plain.stdout and ignored.stderr == b""
 
 
 def test_version_flag():

@@ -194,10 +194,10 @@ def test_monte_carlo_within_four_sigma():
 
 
 def test_monte_carlo_deterministic_per_config():
-    a = group_volume("su3", "monte_carlo", 20_000, seed=11, workers=3)
-    b = group_volume("su3", "monte_carlo", 20_000, seed=11, workers=3)
+    a = group_volume("su3", "monte_carlo", 20_000, seed=11)
+    b = group_volume("su3", "monte_carlo", 20_000, seed=11)
     assert a == b
-    c = group_volume("su3", "monte_carlo", 20_000, seed=12, workers=3)
+    c = group_volume("su3", "monte_carlo", 20_000, seed=12)
     assert c.estimate != a.estimate
 
 

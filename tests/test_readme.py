@@ -27,7 +27,6 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, bell_projector):
     piped = [line for line in lines if "|" in line]
     assert piped == ['su4euler basis --structure | grep "f(1,2,3)"']
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     with open("bell.mat", "w", encoding="utf-8") as fh:
         for row in bell_projector:
             fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")

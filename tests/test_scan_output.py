@@ -45,14 +45,14 @@ def _summary(records) -> dict:
 
 
 def reference_output(fmt, corners=False, samples=1000, seed=0,
-                     tolerance=1e-10, workers=1) -> str:
+                     tolerance=1e-10) -> str:
     if corners:
         chunks = corner_scan(tolerance)
         config = {"mode": "corners", "tolerance": tolerance}
     else:
-        chunks = scan(samples, seed=seed, tolerance=tolerance, workers=workers)
+        chunks = scan(samples, seed=seed, tolerance=tolerance)
         config = {"mode": "random", "samples": samples, "seed": seed,
-                  "tolerance": tolerance, "workers": workers}
+                  "tolerance": tolerance}
     records = list(_record_fields(chunks))
     summary = _summary(records)
     if fmt == "csv":
@@ -81,16 +81,11 @@ def _argv(fmt, options) -> list:
 CASES = {
     "default": {"samples": 50, "seed": 4},
     "one-sample": {"samples": 1},
-    "chunk-boundary": {"samples": 4097, "seed": 3, "workers": 3},
+    "chunk-boundary": {"samples": 4097, "seed": 3},
     "covering": {"samples": 333, "seed": 2},
     "tolerance": {"samples": 300, "seed": 9, "tolerance": 1e-4},
     "corners": {"corners": True},
 }
-
-
-@pytest.fixture(autouse=True)
-def _no_workers_env(monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -118,11 +113,11 @@ def test_nondefault_tolerance_moves_tallies():
 
 @pytest.mark.parametrize("args,tally", [
     (["--samples", "10000", "--seed", "1"], (2933, 7067, 0)),
-    (["--samples", "10000", "--seed", "7", "--workers", "3"], (2901, 7099, 0)),
+    (["--samples", "10000", "--seed", "7"], (2892, 7108, 0)),
     (["--samples", "333", "--seed", "2"], (106, 227, 0)),
     (["--samples", "5000", "--seed", "9", "--tolerance", "1e-3"], (640, 2557, 1803)),
     (["--corners"], (4096, 0, 28672)),
-], ids=["seed1", "seed7-workers3", "covering", "tolerance", "corners"])
+], ids=["seed1", "seed7", "covering", "tolerance", "corners"])
 def test_golden_scan_tallies(tmp_path, args, tally):
     """Verdict tallies of the golden scans, pinned where their hashes cannot
     be: the hashes follow the BLAS build, the verdicts should not."""

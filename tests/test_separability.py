@@ -297,7 +297,7 @@ def test_validate_rejects_nonfinite_entries(row, col, value):
         validate_density_matrix(stack)
 
 
-@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf, "x"])
+@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf, "x", True, False])
 def test_classify_rejects_bad_tolerance(tolerance):
     with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
         is_entangled(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), tolerance)
@@ -344,13 +344,6 @@ def test_scan_deterministic_and_ordered():
     assert not same_columns(c, a)
 
 
-def test_scan_worker_partitioning_deterministic():
-    a = scan_columns(scan(50, seed=5, workers=4))
-    b = scan_columns(scan(50, seed=5, workers=4))
-    assert same_columns(a, b)
-    assert a.index.tolist() == list(range(50))
-
-
 def test_scan_negative_count_bounded():
     assert set(scan_columns(scan(300, seed=12)).neg_count.tolist()) <= {0, 1}
 
@@ -393,19 +386,18 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         scan(0)
     with pytest.raises(ValueError):
-        scan(10, workers=0)
-    with pytest.raises(ValueError):
         scan(10, spectrum_policy=(1.0, 2.0))
     with pytest.raises(ValueError, match="seed"):
         scan(10, seed=-1)
     with pytest.raises(TypeError, match="angle_profile"):
         scan(10, angle_profile="covering")
+    with pytest.raises(TypeError, match="workers"):
+        scan(10, workers=2)
 
 
 @pytest.mark.parametrize("call,name", [
     (lambda: scan_angles(0), "samples"),
     (lambda: scan_angles(10, seed=-1), "seed"),
-    (lambda: scan_angles(10, workers=0), "workers"),
     # A range name where the spectrum policy goes, as the third positional
     # argument once named the angle ranges.
     (lambda: scan(10, 1, "covering"), "spectrum_policy"),
@@ -415,10 +407,11 @@ def test_scan_validation():
     (lambda: scan_angles(2, spectrum_policy=None), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=5), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=("1", "2", "3")), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy=(10**400, 1, 1)), "spectrum_policy"),
     (lambda: classify_chunks(iter([]), float("nan")), "tolerance"),
-], ids=["samples", "seed", "workers", "profile", "spectrum", "spectrum-digits",
+], ids=["samples", "seed", "profile", "spectrum", "spectrum-digits",
         "spectrum-case", "spectrum-none", "spectrum-scalar", "spectrum-strings",
-        "tolerance"])
+        "spectrum-huge-int", "tolerance"])
 def test_scan_parts_check_arguments_at_the_call(call, name):
     with pytest.raises(ValueError, match=name):
         call()
