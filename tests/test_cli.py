@@ -393,15 +393,39 @@ def test_rho_eigenvalues_match_spectrum_random_angles():
                        atol=1e-12)
 
 
-def test_workers_env_variable_is_ignored():
-    # Every seeded draw uses one stream; the variable has no meaning.
-    args = ("scan", "--samples", "5", "--seed", "1")
-    base = {k: v for k, v in os.environ.items() if k != "SU4EULER_WORKERS"}
-    plain = subprocess.run([sys.executable, "-m", "su4euler", *args],
-                           capture_output=True, timeout=300, env=base)
-    ignored = subprocess.run([sys.executable, "-m", "su4euler", *args],
-                             capture_output=True, timeout=300,
-                             env={**base, "SU4EULER_WORKERS": "abc"})
+def run_cli_with_workers_env(args, value):
+    """Run the CLI with SU4EULER_WORKERS set to value, or unset if None."""
+    env = {k: v for k, v in os.environ.items() if k != "SU4EULER_WORKERS"}
+    if value is not None:
+        env["SU4EULER_WORKERS"] = value
+    return subprocess.run([sys.executable, "-m", "su4euler", *args],
+                          capture_output=True, timeout=300, env=env)
+
+
+def test_workers_env_variable_and_flag_override():
+    # Every seeded draw uses one stream: the variable is not read, and the
+    # flag that once overrode it is gone.
+    args = ("volume", "--group", "su2", "--method", "mc", "--samples", "5000",
+            "--seed", "9")
+    plain = run_cli_with_workers_env(args, None)
+    with_env = run_cli_with_workers_env(args, "2")
+    assert plain.returncode == with_env.returncode == 0
+    assert with_env.stdout == plain.stdout and with_env.stderr == b""
+    with_flag = run_cli_with_workers_env((*args, "--workers", "1"), "2")
+    assert with_flag.returncode == 2 and with_flag.stdout == b""
+    assert "unrecognized arguments: --workers" in with_flag.stderr.decode()
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3"])
+@pytest.mark.parametrize("args", [
+    ("scan", "--samples", "5", "--seed", "1"),
+    ("volume", "--group", "su2", "--method", "quad", "--nodes", "8"),
+], ids=["scan", "volume-quad"])
+def test_bad_workers_env_variable_named(args, value):
+    """A SU4EULER_WORKERS value that was once rejected by name is now
+    ignored: the run exits 0 with the bytes of a run without it."""
+    plain = run_cli_with_workers_env(args, None)
+    ignored = run_cli_with_workers_env(args, value)
     assert plain.returncode == ignored.returncode == 0
     assert ignored.stdout == plain.stdout and ignored.stderr == b""
 
