@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .algebra import gell_mann, structure_constants
 from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, _shown
 from .euler import compose_su4
 from .haar import analytic_volume, group_volume
 from .separability import corner_scan, is_entangled, scan
@@ -55,11 +55,6 @@ def _eval_expr(node, text):
         return _math_call(_ALLOWED_FUNCS[node.func.id],
                           _eval_expr(node.args[0], text))
     raise ValueError(f"unsupported angle expression: {_shown(text)}")
-
-
-def _shown(text: str) -> str:
-    """repr of an input for an error message, cut to 60 characters."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}… ({len(text)} chars)"
 
 
 def _math_call(fn, *args):
@@ -239,6 +234,26 @@ _JSON_RECORD = ("    {\n"
                 + "\n    }")
 
 
+def _float_texts(column: np.ndarray):
+    """repr() of each float of a 1-D float64 column, in order.
+
+    Each distinct value is formatted once and its text indexed back: a
+    corner scan's angle columns hold two values each, and repr costs ~1 µs
+    a float.  Distinct means distinct bits, so the column is viewed as
+    int64: -0.0 == 0.0, and deduping on the values would print one sign for
+    both zeros.  A column with no repeat, as a random scan's are, skips the
+    dedupe: one sort of the bits tells, and it costs less than the unique,
+    its inverse and the index-back would.
+    """
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return map(repr, column.tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _scan_pieces(fmt: str, config: dict, chunks):
     """Scan output text: one piece per classified chunk, then the tail.
 
@@ -256,9 +271,9 @@ def _scan_pieces(fmt: str, config: dict, chunks):
         order, row = _JSON_ORDER, _JSON_RECORD.__mod__
     tally = np.zeros(3, dtype=int)  # total, entangled, boundary
     for start, alphas, thetas, c in chunks:
-        floats = np.column_stack((alphas, thetas, c.d, c.min_eig)).T.tolist()
+        floats = np.column_stack((alphas, thetas, c.d, c.min_eig)).T
         columns = ([map(str, range(start, start + len(alphas)))]
-                   + [map(repr, col) for col in floats]
+                   + [_float_texts(col) for col in floats]
                    + [map(str, c.neg_count.tolist()),
                       np.where(c.entangled, "entangled", "separable").tolist(),
                       np.where(c.boundary, "1", "0").tolist()])
@@ -277,11 +292,17 @@ def _scan_pieces(fmt: str, config: dict, chunks):
 
 def cmd_scan(args) -> int:
     if args.corners:
+        if args.samples is not None or args.seed is not None:
+            print("scan: --corners scans the fixed 2^15 corners; it takes "
+                  "no --samples or --seed", file=sys.stderr)
+            return 2
         chunks = corner_scan(args.tolerance)
         config = {"mode": "corners", "tolerance": args.tolerance}
     else:
-        chunks = scan(args.samples, seed=args.seed, tolerance=args.tolerance)
-        config = {"mode": "random", "samples": args.samples, "seed": args.seed,
+        samples = 1000 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        chunks = scan(samples, seed=seed, tolerance=args.tolerance)
+        config = {"mode": "random", "samples": samples, "seed": seed,
                   "tolerance": args.tolerance}
     pieces = _scan_pieces(args.format, config, chunks)
     if args.output:
@@ -346,8 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_scan = sub.add_parser("scan", help="bulk classification scan")
-    p_scan.add_argument("--samples", type=int, default=1000)
-    p_scan.add_argument("--seed", type=int, default=0)
+    # None marks a flag not given: --corners rejects both, a random scan
+    # reads 1000 and 0.
+    p_scan.add_argument("--samples", type=int, default=None,
+                        help="random states to scan (default: 1000)")
+    p_scan.add_argument("--seed", type=int, default=None,
+                        help="generator seed (default: 0)")
     p_scan.add_argument("--tolerance", type=float, default=1e-10)
     p_scan.add_argument("--corners", action="store_true",
                         help="exhaustive 2^15 min/max corner scan")

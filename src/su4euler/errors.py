@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how an input is shown
+in their messages."""
+
+
+def _shown(value) -> str:
+    """repr of an input for an error message, cut to 60 characters.
+
+    A string is cut before its repr, so the count is of its characters;
+    any other value is cut after it.
+    """
+    if isinstance(value, str):
+        head, size = repr(value[:60]), len(value)
+    else:
+        text = repr(value)
+        head, size = text[:60], len(text)
+    return repr(value) if size <= 60 else f"{head}… ({size} chars)"
 
 
 class ConsistencyError(RuntimeError):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .euler import range_profile
 from .haar import _is_integer, _seeded_rng, chunk_sizes, sample_haar_angles
 
@@ -313,7 +313,7 @@ def _fixed_spectrum(spectrum_policy):
         fixed = ()
     if not (len(theta) == len(fixed) == 3 and np.isfinite(fixed).all()):
         raise ValueError("spectrum_policy must be 'uniform' or three finite "
-                         f"angles, got {spectrum_policy!r}")
+                         f"angles, got {_shown(spectrum_policy)}")
     return fixed
 
 

@@ -321,6 +321,30 @@ def test_scan_corners_summary(tmp_path):
     assert int(parts["total"]) == 2**15
 
 
+@pytest.mark.parametrize("flags", [
+    ("--samples", "5", "--seed", "9"),
+    ("--samples", "1000"),
+    ("--seed", "0"),
+], ids=["both", "samples", "seed"])
+def test_scan_corners_excludes_samples_and_seed(tmp_path, flags):
+    # The corners are fixed: a sample count or seed would be ignored.
+    out = tmp_path / "corners.csv"
+    proc = run_cli("scan", "--corners", *flags, "--output", str(out))
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "--corners" in stderr and "--samples" in stderr and "--seed" in stderr
+    assert not out.exists()
+
+
+def test_random_scan_config_keeps_default_samples_and_seed():
+    proc = run_cli("scan", "--format", "json")
+    assert proc.returncode == 0
+    body = json.loads(proc.stdout)
+    assert body["config"] == {"mode": "random", "samples": 1000, "seed": 0,
+                              "tolerance": 1e-10}
+    assert body["summary"]["total"] == 1000
+
+
 def test_scan_output_file(tmp_path):
     out = tmp_path / "records.csv"
     proc = run_cli("scan", "--samples", "5", "--seed", "5", "--output", str(out))

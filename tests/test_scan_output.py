@@ -8,9 +8,11 @@ the same bytes chunk by chunk from the classification columns.
 
 import json
 
+import numpy as np
 import pytest
 
 from su4euler import __version__, cli, corner_scan, scan
+from su4euler.separability import Classification
 
 _HEADER = (["sample_index"] + [f"alpha{i}" for i in range(1, 13)]
            + ["theta1", "theta2", "theta3", "d", "min_eig", "neg_count",
@@ -53,6 +55,10 @@ def reference_output(fmt, corners=False, samples=1000, seed=0,
         chunks = scan(samples, seed=seed, tolerance=tolerance)
         config = {"mode": "random", "samples": samples, "seed": seed,
                   "tolerance": tolerance}
+    return _reference_text(fmt, config, chunks)
+
+
+def _reference_text(fmt, config, chunks) -> str:
     records = list(_record_fields(chunks))
     summary = _summary(records)
     if fmt == "csv":
@@ -94,6 +100,47 @@ def test_streamed_output_equals_reference(tmp_path, case, fmt):
     out = tmp_path / f"scan.{fmt}"
     assert cli.main(_argv(fmt, CASES[case]) + ["--output", str(out)]) == 0
     assert out.read_bytes() == reference_output(fmt, **CASES[case]).encode()
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 1.0, -0.0, 0.0],
+    [0.7853981633974483] * 9,
+    [-0.0],
+    [1.5, 2.5, 1.5, 3.5, 2.5, 1.5],
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 5e-324, 1e308],
+    [k / 7 for k in range(50)],
+], ids=["signed-zeros", "constant", "one-element", "scattered-repeats",
+        "extremes", "all-distinct"])
+def test_float_texts_equal_repr(values):
+    column = np.array(values)
+    assert list(cli._float_texts(column)) == [_fmt(x) for x in values]
+
+
+def test_float_texts_of_strided_columns():
+    # The rows of a transposed block, as _scan_pieces passes them.
+    block = np.column_stack((np.tile([-0.0, 0.0, 1e-300], 7), np.arange(21) / 7,
+                             np.full(21, np.pi))).T
+    for column in block:
+        assert not column.flags.contiguous
+        assert list(cli._float_texts(column)) == [_fmt(x) for x in column]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_pieces_keep_signed_zeros(fmt):
+    alphas = np.zeros((3, 12))
+    alphas[1] = -0.0
+    alphas[2, ::2] = 1.0
+    thetas = np.array([[-0.0, 0.0, 0.5], [0.0, -0.0, 0.5], [-0.0, -0.0, 0.5]])
+    c = Classification(d=np.array([0.0, -0.0, 0.0]),
+                       min_eig=np.array([-0.0, 0.0, -0.0]),
+                       neg_count=np.array([0, 0, 1]),
+                       entangled=np.array([False, False, True]),
+                       boundary=np.array([True, True, False]))
+    config = {"mode": "random", "samples": 3, "seed": 0, "tolerance": 1e-10}
+    text = "".join(cli._scan_pieces(fmt, config, iter([(0, alphas, thetas, c)])))
+    reference = _reference_text(fmt, config, [(0, alphas, thetas, c)])
+    assert "-0.0" in reference
+    assert text == reference
 
 
 def test_stdout_equals_output_file(tmp_path, capsys):

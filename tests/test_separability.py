@@ -408,13 +408,16 @@ def test_scan_validation():
     (lambda: scan_angles(2, spectrum_policy=5), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=("1", "2", "3")), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=(10**400, 1, 1)), "spectrum_policy"),
+    (lambda: scan_angles(2, spectrum_policy=list(range(5000))), "spectrum_policy"),
     (lambda: classify_chunks(iter([]), float("nan")), "tolerance"),
 ], ids=["samples", "seed", "profile", "spectrum", "spectrum-digits",
         "spectrum-case", "spectrum-none", "spectrum-scalar", "spectrum-strings",
-        "spectrum-huge-int", "tolerance"])
+        "spectrum-huge-int", "spectrum-long-list", "tolerance"])
 def test_scan_parts_check_arguments_at_the_call(call, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=name) as raised:
         call()
+    # The rejected value is echoed cut short, not whole.
+    assert len(str(raised.value)) < 200
 
 
 def test_scan_records_reproduce_d():
