@@ -14,6 +14,7 @@ import ast
 import json
 import math
 import operator
+import os
 import sys
 import time
 import warnings
@@ -394,7 +395,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (`su4euler scan | head`): end quietly, and
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as exc:
         print(f"su4euler: {exc}", file=sys.stderr)
         return 3

@@ -6,14 +6,21 @@ def _shown(value) -> str:
     """repr of an input for an error message, cut to 60 characters.
 
     A string is cut before its repr, so the count is of its characters;
-    any other value is cut after it.
+    any other value is cut after it.  A value whose repr raises (an int
+    past the interpreter's digit limit, or a container holding one) is
+    shown by its type, and an int also by its bit length.
     """
     if isinstance(value, str):
         head, size = repr(value[:60]), len(value)
     else:
-        text = repr(value)
-        head, size = text[:60], len(text)
-    return repr(value) if size <= 60 else f"{head}… ({size} chars)"
+        try:
+            head = repr(value)
+        except ValueError:
+            if isinstance(value, int):
+                return f"<int of {value.bit_length()} bits>"
+            return f"<{type(value).__name__}>"
+        head, size = head[:60], len(head)
+    return head if size <= 60 else f"{head}… ({size} chars)"
 
 
 class ConsistencyError(RuntimeError):

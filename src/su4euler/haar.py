@@ -6,7 +6,9 @@ trigonometric factors in six of the fifteen angles, which makes volume
 quadrature a product of 1-D quadratures and Haar sampling a set of
 independent inverse-CDF draws.  One generator therefore serves a whole
 seeded draw (a Monte Carlo volume, a scan's angles), and its output depends
-only on the seed and the sample count.
+only on the seed and the sample count.  The Monte Carlo volume's chunks
+run on the CPUs available to the process; the thread count cannot be set,
+and the output is the same bytes on any CPU count.
 
 Two range kinds serve two jobs.  The covering ranges parametrize every
 group element, and angles drawn over them by sample_haar_angles give Haar
@@ -17,6 +19,9 @@ For example, E tr U over volume-range draws of SU(4) is about 0.56 - 0.52i,
 where Haar gives 0.
 """
 
+import copy
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +234,54 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
+def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A generator continuing rng's stream draws doubles further on; rng
+    itself does not move."""
+    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(draws))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_map(function, runs) -> list:
+    """[function(*run) for run in runs], the first run in this thread and
+    each other in a thread of its own.  Every thread is joined before it
+    returns or raises; the first failure in run order is raised."""
+    results = [None] * len(runs)
+    errors = [None] * len(runs)
+
+    def guarded(index):
+        try:
+            results[index] = function(*runs[index])
+        except BaseException as exc:  # raised in the calling thread below
+            errors[index] = exc
+
+    threads = []
+    try:
+        for index in range(1, len(runs)):
+            thread = threading.Thread(target=guarded, args=(index,))
+            thread.start()
+            threads.append(thread)
+        guarded(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+# Chunks each worker takes per round of the Monte Carlo volume: the round's
+# per-chunk sums are all that is held at once.
+_ROUND = 16
+
+
 def _monte_carlo_volume(group: str, samples: int, seed: int):
     """Uniform-proposal Monte Carlo over the nontrivial axes.
 
@@ -237,6 +290,12 @@ def _monte_carlo_volume(group: str, samples: int, seed: int):
     standard error comes from the sample variance.  The draw comes from one
     seeded generator and is drawn and summed in chunks of CHUNK rows, so
     memory does not grow with samples.
+
+    The chunks run on the CPUs available to the process, in rounds of
+    _ROUND chunks per worker; the thread count cannot be set.  A worker
+    draws its contiguous run of chunks from a copy of the generator
+    advanced to the run's first chunk, and the per-chunk sums are added in
+    chunk order, so the result is the same float on any CPU count.
     """
     profile = range_profile(group, "volume")
     factors = _DENSITY_FACTORS[group]
@@ -251,16 +310,34 @@ def _monte_carlo_volume(group: str, samples: int, seed: int):
     scale = _NORMALIZATION[group] * trivial * box
 
     rng = _seeded_rng(seed)
+    chunks = -(-samples // CHUNK)
+    workers = min(_available_cpus(), chunks)
+
+    def chunk_sums(first, stop):
+        """(sum, sum of squares) of the density over each of chunks
+        first..stop-1."""
+        draw = _advanced(rng, len(axes) * CHUNK * first)
+        sums = []
+        for index in range(first, stop):
+            n = min(CHUNK, samples - index * CHUNK)
+            u = draw.random((n, len(axes)))
+            vals = np.ones(n)
+            for col, axis in enumerate(axes):
+                lo, hi = profile.bounds[axis]
+                vals *= factors[axis][0](lo + (hi - lo) * u[:, col])
+            sums.append((float(vals.sum()), float((vals**2).sum())))
+        return sums
+
     total = 0.0
     total_sq = 0.0
-    for n in chunk_sizes(samples):
-        u = rng.random((n, len(axes)))
-        vals = np.ones(n)
-        for col, axis in enumerate(axes):
-            lo, hi = profile.bounds[axis]
-            vals *= factors[axis][0](lo + (hi - lo) * u[:, col])
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
+    for start in range(0, chunks, workers * _ROUND):
+        size = min(workers * _ROUND, chunks - start)
+        edges = [start + size * w // workers for w in range(workers + 1)]
+        runs = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+        for run in _thread_map(chunk_sums, runs):
+            for chunk_total, chunk_total_sq in run:
+                total += chunk_total
+                total_sq += chunk_total_sq
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
     return scale * mean, scale * np.sqrt(var / samples)

@@ -13,7 +13,6 @@ angles, valid by construction, and skip that check.
 """
 
 import cmath
-import copy
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,7 +22,13 @@ import numpy as np
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
 from .errors import ValidationError, _shown
 from .euler import range_profile
-from .haar import _is_integer, _seeded_rng, chunk_sizes, sample_haar_angles
+from .haar import (
+    _advanced,
+    _is_integer,
+    _seeded_rng,
+    chunk_sizes,
+    sample_haar_angles,
+)
 
 
 class CharPolyCoeffs(NamedTuple):
@@ -334,8 +339,7 @@ def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform"):
     profile = range_profile("su4", "covering")
     fixed_theta = _fixed_spectrum(spectrum_policy)
     rng = _seeded_rng(seed)
-    spectrum = np.random.Generator(
-        copy.deepcopy(rng.bit_generator).advance(profile.dim * samples))
+    spectrum = _advanced(rng, profile.dim * samples)
     lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
 
     def drawn():

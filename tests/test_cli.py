@@ -390,6 +390,20 @@ def test_scan_unwritable_output():
     assert proc.returncode != 0
 
 
+def test_scan_to_closed_stdout_ends_quietly():
+    # `su4euler scan --samples 20000 | head -1`: the reader goes after one
+    # line, well before the ~6 MB of CSV is written.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "su4euler", "scan", "--samples", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"sample_index,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert stderr == b""
+
+
 def test_rho_pure_state():
     proc = run_cli("rho", "--alpha", ZERO_ALPHA, "--theta", "pi/2,pi/2,pi/2")
     assert proc.returncode == 0

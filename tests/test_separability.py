@@ -20,6 +20,7 @@ from su4euler import (
     scan,
     validate_density_matrix,
 )
+from su4euler.errors import _shown
 from su4euler.separability import classify_chunks, scan_angles
 
 from conftest import random_states, same_columns, scan_columns
@@ -418,6 +419,14 @@ def test_scan_parts_check_arguments_at_the_call(call, name):
         call()
     # The rejected value is echoed cut short, not whole.
     assert len(str(raised.value)) < 200
+
+
+def test_spectrum_policy_past_the_int_digit_limit_is_named():
+    # repr refuses an int of more than 4300 digits by default.
+    with pytest.raises(ValueError, match="spectrum_policy") as raised:
+        scan_angles(2, spectrum_policy=(10**5000, 1, 1))
+    assert len(str(raised.value)) <= 80
+    assert _shown(10**5000) == "<int of 16610 bits>"
 
 
 def test_scan_records_reproduce_d():
