@@ -7,8 +7,8 @@ quadrature a product of 1-D quadratures and Haar sampling a set of
 independent inverse-CDF draws.  One generator therefore serves a whole
 seeded draw (a Monte Carlo volume, a scan's angles), and its output depends
 only on the seed and the sample count.  The Monte Carlo volume's chunks
-run on the CPUs available to the process; the thread count cannot be set,
-and the output is the same bytes on any CPU count.
+run on up to two of the CPUs available to the process; the thread count
+cannot be set, and the output is the same bytes on any CPU count.
 
 Two range kinds serve two jobs.  The covering ranges parametrize every
 group element, and angles drawn over them by sample_haar_angles give Haar
@@ -21,7 +21,6 @@ where Haar gives 0.
 
 import copy
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,38 +247,14 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _thread_map(function, runs) -> list:
-    """[function(*run) for run in runs], the first run in this thread and
-    each other in a thread of its own.  Every thread is joined before it
-    returns or raises; the first failure in run order is raised."""
-    results = [None] * len(runs)
-    errors = [None] * len(runs)
-
-    def guarded(index):
-        try:
-            results[index] = function(*runs[index])
-        except BaseException as exc:  # raised in the calling thread below
-            errors[index] = exc
-
-    threads = []
-    try:
-        for index in range(1, len(runs)):
-            thread = threading.Thread(target=guarded, args=(index,))
-            thread.start()
-            threads.append(thread)
-        guarded(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 # Chunks each worker takes per round of the Monte Carlo volume: the round's
 # per-chunk sums are all that is held at once.
 _ROUND = 16
+
+# Most worker threads of the Monte Carlo volume.  Each holds one chunk's
+# arrays (~0.42 MiB for SU(4)), and two is the count whose speedup was
+# measured, so neither memory nor thread count grows with the machine.
+_MAX_WORKERS = 2
 
 
 def _monte_carlo_volume(group: str, samples: int, seed: int):
@@ -291,11 +266,11 @@ def _monte_carlo_volume(group: str, samples: int, seed: int):
     seeded generator and is drawn and summed in chunks of CHUNK rows, so
     memory does not grow with samples.
 
-    The chunks run on the CPUs available to the process, in rounds of
-    _ROUND chunks per worker; the thread count cannot be set.  A worker
-    draws its contiguous run of chunks from a copy of the generator
-    advanced to the run's first chunk, and the per-chunk sums are added in
-    chunk order, so the result is the same float on any CPU count.
+    The chunks run on up to _MAX_WORKERS of the CPUs available to the
+    process, in rounds of _ROUND chunks per worker; the thread count cannot
+    be set.  A worker draws its contiguous run of chunks from a copy of the
+    generator advanced to the run's first chunk, and the per-chunk sums are
+    added in chunk order, so the result is the same float on any CPU count.
     """
     profile = range_profile(group, "volume")
     factors = _DENSITY_FACTORS[group]
@@ -311,7 +286,7 @@ def _monte_carlo_volume(group: str, samples: int, seed: int):
 
     rng = _seeded_rng(seed)
     chunks = -(-samples // CHUNK)
-    workers = min(_available_cpus(), chunks)
+    workers = min(_available_cpus(), _MAX_WORKERS, chunks)
 
     def chunk_sums(first, stop):
         """(sum, sum of squares) of the density over each of chunks
@@ -328,16 +303,19 @@ def _monte_carlo_volume(group: str, samples: int, seed: int):
             sums.append((float(vals.sum()), float((vals**2).sum())))
         return sums
 
+    # Imported here: no other path uses threads, and importing it costs ~6 ms.
+    from concurrent.futures import ThreadPoolExecutor
+
     total = 0.0
     total_sq = 0.0
-    for start in range(0, chunks, workers * _ROUND):
-        size = min(workers * _ROUND, chunks - start)
-        edges = [start + size * w // workers for w in range(workers + 1)]
-        runs = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
-        for run in _thread_map(chunk_sums, runs):
-            for chunk_total, chunk_total_sq in run:
-                total += chunk_total
-                total_sq += chunk_total_sq
+    with ThreadPoolExecutor(workers) as pool:
+        for start in range(0, chunks, workers * _ROUND):
+            size = min(workers * _ROUND, chunks - start)
+            edges = [start + size * w // workers for w in range(workers + 1)]
+            for run in pool.map(chunk_sums, edges, edges[1:]):
+                for chunk_total, chunk_total_sq in run:
+                    total += chunk_total
+                    total_sq += chunk_total_sq
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
     return scale * mean, scale * np.sqrt(var / samples)

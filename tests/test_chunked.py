@@ -106,7 +106,9 @@ def test_monte_carlo_matches_whole_array_estimator(group, seed, samples):
 def test_monte_carlo_volume_is_the_same_on_any_cpu_count(monkeypatch, group,
                                                          samples):
     results = []
-    # 64 CPUs: more workers than the 25 chunks of 10^5 samples.
+    # Lift the worker cap so every CPU count below runs that many workers;
+    # 64: more workers than the 25 chunks of 10^5 samples.
+    monkeypatch.setattr(haar, "_MAX_WORKERS", 64)
     for cpus in (1, 2, 3, 64):
         monkeypatch.setattr(haar, "_available_cpus", lambda: cpus)
         results.append(group_volume(group, "monte_carlo", samples, seed=4))
@@ -133,6 +135,7 @@ def test_monte_carlo_failure_propagates_and_leaves_no_thread(monkeypatch, k,
         return factor(x)
 
     monkeypatch.setattr(haar, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(haar, "_MAX_WORKERS", 3)
     monkeypatch.setitem(_DENSITY_FACTORS["su4"], 5, (failing, icdf))
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="factor failed"):
@@ -179,9 +182,17 @@ def test_monte_carlo_memory_does_not_grow_with_samples():
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_monte_carlo_memory_is_bounded_on_any_cpu_count(monkeypatch, cpus):
+    # Each worker holds one chunk's arrays; the worker cap keeps a many-CPU
+    # machine under the same bound as the test above.
+    monkeypatch.setattr(haar, "_available_cpus", lambda: cpus)
+    peak = _peak_traced_bytes(
+        lambda: group_volume("su4", "monte_carlo", 10**6))
+    assert peak < 2 * 2**20
+
+
 def test_threaded_monte_carlo_memory_does_not_grow_with_samples(monkeypatch):
-    # Each worker holds one chunk's arrays, so the peak grows with the worker
-    # count; two workers keep it the same on every machine.
     monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
     small = _peak_traced_bytes(
         lambda: group_volume("su4", "monte_carlo", 10**6))
