@@ -182,11 +182,10 @@ def test_monte_carlo_memory_does_not_grow_with_samples():
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 64])
-def test_monte_carlo_memory_is_bounded_on_any_cpu_count(monkeypatch, cpus):
-    # Each worker holds one chunk's arrays; the worker cap keeps a many-CPU
+def test_monte_carlo_memory_is_bounded_on_a_many_cpu_machine(monkeypatch):
+    # Each worker holds one chunk's arrays; the worker cap keeps a 64-CPU
     # machine under the same bound as the test above.
-    monkeypatch.setattr(haar, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 64)
     peak = _peak_traced_bytes(
         lambda: group_volume("su4", "monte_carlo", 10**6))
     assert peak < 2 * 2**20
