@@ -6,7 +6,8 @@ Angles accept pi-literal arithmetic such as pi/4 or acos(1/sqrt(3)) so the
 tabulated interval endpoints can be entered exactly.
 
 Exit statuses: 0 success, 1 unreadable input or output file, 2 usage
-error, 3 input-validation failure, 4 internal consistency error.
+error, 3 input-validation failure, 4 internal consistency error (reserved:
+no check produces it yet).
 """
 
 import argparse
@@ -165,18 +166,27 @@ def cmd_basis(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    unread = ("samples", "seed") if args.method == "quad" else ("nodes",)
+    given = [f"--{flag}" for flag in unread if getattr(args, flag) is not None]
+    if given:
+        print(f"volume: --method {args.method} takes no {' or '.join(given)}",
+              file=sys.stderr)
+        return 2
     started = time.perf_counter() if args.timing else None
-    method = {"quad": "quadrature", "mc": "monte_carlo"}[args.method]
-    if method == "quadrature":
-        resolution = args.nodes
+    config = {"group": args.group, "method": args.method}
+    if args.method == "quad":
+        config["resolution"] = 64 if args.nodes is None else args.nodes
+        result = group_volume(args.group, "quadrature", config["resolution"])
     else:
-        samples = float(args.samples)
+        text = "100000" if args.samples is None else args.samples
+        samples = float(text)
         if not math.isfinite(samples):
-            raise ValueError(
-                f"Monte Carlo sample count must be finite, got {args.samples!r}")
+            raise ValueError(f"Monte Carlo sample count must be finite, got {text!r}")
         # group_volume rejects a count with a fractional part, such as 2500.5.
-        resolution = int(samples) if samples.is_integer() else samples
-    result = group_volume(args.group, method, resolution, seed=args.seed)
+        config["resolution"] = int(samples) if samples.is_integer() else samples
+        config["seed"] = 0 if args.seed is None else args.seed
+        result = group_volume(args.group, "monte_carlo", config["resolution"],
+                              seed=config["seed"])
     target = analytic_volume(args.group)
     payload = {
         "estimate": result.estimate,
@@ -187,8 +197,6 @@ def cmd_volume(args) -> int:
         "samples_or_nodes": result.samples_or_nodes,
         "method": result.method,
     }
-    config = {"group": args.group, "method": args.method,
-              "resolution": resolution, "seed": args.seed}
     _emit_envelope("volume", config, payload, started)
     return 0
 
@@ -197,17 +205,16 @@ def cmd_check(args) -> int:
     started = time.perf_counter() if args.timing else None
     if args.matrix is not None and args.alpha is None and args.theta is None:
         rho = load_matrix_file(args.matrix)
-        config = {"matrix": args.matrix, "tolerance": args.tolerance,
-                  "subsystem": args.subsystem}
+        config = {"matrix": args.matrix, "tolerance": args.tolerance}
     elif args.matrix is None and args.alpha and args.theta:
         rho, _, _ = _rho_from_args(args)
         config = {"alpha": args.alpha, "theta": args.theta,
-                  "tolerance": args.tolerance, "subsystem": args.subsystem}
+                  "tolerance": args.tolerance}
     else:
         print("check: provide --matrix FILE or both --alpha and --theta, not both",
               file=sys.stderr)
         return 2
-    verdict = is_entangled(rho, args.tolerance, args.subsystem)
+    verdict = is_entangled(rho, args.tolerance)
     payload = {
         "d": verdict.d_value,
         "min_eigenvalue": verdict.min_eigenvalue,
@@ -349,11 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol = sub.add_parser("volume", help="group volume by quadrature or Monte Carlo")
     p_vol.add_argument("--group", choices=["su2", "su3", "su4"], required=True)
     p_vol.add_argument("--method", choices=["quad", "mc"], default="quad")
-    p_vol.add_argument("--nodes", type=int, default=64,
-                       help="quadrature nodes per nontrivial axis")
-    p_vol.add_argument("--samples", default="100000",
-                       help="Monte Carlo sample count (accepts 1e6 style)")
-    p_vol.add_argument("--seed", type=int, default=0)
+    # None marks a flag not given: a method rejects the flags it does not read.
+    p_vol.add_argument("--nodes", type=int, default=None,
+                       help="quadrature nodes per nontrivial axis (default: 64)")
+    p_vol.add_argument("--samples", default=None,
+                       help="Monte Carlo sample count such as 1e6 (default: 100000)")
+    p_vol.add_argument("--seed", type=int, default=None,
+                       help="Monte Carlo seed (default: 0)")
     p_vol.add_argument("--timing", action="store_true",
                        help="include elapsed time (breaks byte-identical output)")
     p_vol.set_defaults(func=cmd_volume)
@@ -363,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theta", help="3 comma-separated spectrum angles")
     p_check.add_argument("--matrix", help="path to a 4x8 re/im matrix file")
     p_check.add_argument("--tolerance", type=float, default=1e-10)
-    p_check.add_argument("--subsystem", choices=["A", "B"], default="B")
     p_check.add_argument("--timing", action="store_true")
     p_check.set_defaults(func=cmd_check)
 

@@ -24,9 +24,8 @@ def _shown(value) -> str:
 
 
 class ConsistencyError(RuntimeError):
-    """An internal cross-check failed (e.g. the structure-constant table,
-    built once at import, carries an imaginary residue above 1e-12).
-    Indicates a bug, not bad user input."""
+    """An internal cross-check failed: a bug, not bad user input.  Nothing
+    raises it yet; it is kept for a d sign the minimum eigenvalue contradicts."""
 
 
 class ValidationError(ValueError):

@@ -236,8 +236,8 @@ def eigenvalues_via_resolvent(dq: DepressedQuartic) -> np.ndarray | None:
     return t + 0.25
 
 
-def _classify(rho: np.ndarray, tolerance: float, subsystem: str) -> Classification:
-    pt = partial_transpose(rho, subsystem)
+def _classify(rho: np.ndarray, tolerance: float) -> Classification:
+    pt = partial_transpose(rho)
     d = char_poly_coeffs(pt).d
     eigs = np.linalg.eigvalsh(pt)
     return Classification(
@@ -256,10 +256,10 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
 
-def classify(rho: np.ndarray, tolerance: float = 1e-10,
-             subsystem: str = "B") -> Classification:
+def classify(rho: np.ndarray, tolerance: float = 1e-10) -> Classification:
     """Classify (..., 4, 4) density matrices by the sign of d = det(rho^pt).
 
+    rho^pt transposes subsystem B: rho^{T_A} = (rho^{T_B})^T has the same spectrum.
     Validates the tolerance (finite, >= 0) and every caller state, then
     returns columns shaped like the stack: d by Faddeev-LeVerrier, and the
     minimum eigenvalue and negative-eigenvalue count of the partial
@@ -268,16 +268,15 @@ def classify(rho: np.ndarray, tolerance: float = 1e-10,
     """
     _check_tolerance(tolerance)
     validate_density_matrix(rho)
-    return _classify(rho, tolerance, subsystem)
+    return _classify(rho, tolerance)
 
 
-def is_entangled(rho: np.ndarray, tolerance: float = 1e-10,
-                 subsystem: str = "B") -> SeparabilityVerdict:
+def is_entangled(rho: np.ndarray, tolerance: float = 1e-10) -> SeparabilityVerdict:
     """Verdict for one two-qubit density matrix; see classify."""
     if np.shape(rho) != (4, 4):
         raise ValidationError(
             f"shape invariant violated: expected (4, 4), got {np.shape(rho)}")
-    c = classify(rho, tolerance, subsystem)
+    c = classify(rho, tolerance)
     return SeparabilityVerdict(
         entangled=bool(c.entangled),
         d_value=c.d,
@@ -299,7 +298,7 @@ def classify_chunks(chunks, tolerance: float):
     def classified():
         start = 0
         for a, t in chunks:
-            yield start, a, t, _classify(rho_full(a, t), tolerance, "B")
+            yield start, a, t, _classify(rho_full(a, t), tolerance)
             start += len(a)
 
     return classified()

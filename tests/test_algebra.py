@@ -231,6 +231,17 @@ def test_structure_constants_antisymmetry():
     assert np.abs(f + f.transpose(0, 2, 1)).max() < 1e-14
 
 
+def test_structure_constants_are_the_real_trace():
+    """f_ijk = (1/4i) Tr[[lam_i, lam_j] lam_k] is real for Hermitian
+    generators: the imaginary residue of the rebuilt traces stays below
+    1e-12, and the table holds their real parts exactly."""
+    lam = gell_mann_stack()
+    f = np.array([[[np.trace(commutator(a, b) @ c) / 4j for c in lam]
+                   for b in lam] for a in lam])
+    assert np.abs(f.imag).max() <= 1e-12
+    assert np.array_equal(structure_constants(), f.real)
+
+
 def test_reconstruction_matches_commutator_everywhere():
     f = structure_constants()
     lam = gell_mann_stack()

@@ -136,6 +136,15 @@ def test_check_requires_input():
     assert proc.returncode == 2
 
 
+def test_check_takes_no_subsystem():
+    # Both partial transposes have one spectrum; check always transposes B.
+    proc = run_cli("check", "--alpha", ZERO_ALPHA, "--theta", LOWER_THETA,
+                   "--subsystem", "A")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert "unrecognized arguments: --subsystem A" in proc.stderr.decode()
+
+
 @pytest.mark.parametrize("angles", [
     ("--alpha", "foo", "--theta", "1,2,3"),
     ("--alpha", ZERO_ALPHA),
@@ -257,6 +266,29 @@ def test_volume_sample_count_must_be_integral(samples, status):
                 in proc.stderr.decode())
     else:
         assert json.loads(proc.stdout)["config"]["resolution"] == 1000
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--method", "quad", "--samples", "5"), "--samples"),
+    (("--method", "quad", "--seed", "9"), "--seed"),
+    (("--seed", "9"), "--seed"),
+    (("--method", "quad", "--seed", "9", "--samples", "5"), "--samples or --seed"),
+    (("--method", "mc", "--nodes", "3"), "--nodes"),
+], ids=["quad-samples", "quad-seed", "default-quad-seed", "quad-both", "mc-nodes"])
+def test_volume_rejects_flags_its_method_does_not_read(flags, named):
+    proc = run_cli("volume", "--group", "su2", *flags)
+    method = "mc" if "mc" in flags else "quad"
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"volume: --method {method} takes no {named}\n"
+
+
+def test_volume_config_holds_what_the_method_reads():
+    quad = json.loads(run_cli("volume", "--group", "su2").stdout)["config"]
+    assert quad == {"group": "su2", "method": "quad", "resolution": 64}
+    mc = json.loads(run_cli("volume", "--group", "su2", "--method", "mc",
+                            "--samples", "1000").stdout)["config"]
+    assert mc == {"group": "su2", "method": "mc", "resolution": 1000, "seed": 0}
 
 
 def test_volume_rejects_too_many_nodes():
