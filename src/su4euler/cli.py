@@ -148,6 +148,10 @@ def _rho_from_args(args) -> tuple:
 
 def cmd_basis(args) -> int:
     if args.structure:
+        if args.index is not None:
+            print("basis: --structure prints the whole table; it takes no --index",
+                  file=sys.stderr)
+            return 2
         f = structure_constants()
         for i in range(1, 16):
             for j in range(1, 16):
@@ -205,16 +209,15 @@ def cmd_check(args) -> int:
     started = time.perf_counter() if args.timing else None
     if args.matrix is not None and args.alpha is None and args.theta is None:
         rho = load_matrix_file(args.matrix)
-        config = {"matrix": args.matrix, "tolerance": args.tolerance}
+        config = {"matrix": args.matrix}
     elif args.matrix is None and args.alpha and args.theta:
         rho, _, _ = _rho_from_args(args)
-        config = {"alpha": args.alpha, "theta": args.theta,
-                  "tolerance": args.tolerance}
+        config = {"alpha": args.alpha, "theta": args.theta}
     else:
         print("check: provide --matrix FILE or both --alpha and --theta, not both",
               file=sys.stderr)
         return 2
-    verdict = is_entangled(rho, args.tolerance)
+    verdict = is_entangled(rho)
     payload = {
         "d": verdict.d_value,
         "min_eigenvalue": verdict.min_eigenvalue,
@@ -304,14 +307,13 @@ def cmd_scan(args) -> int:
             print("scan: --corners scans the fixed 2^15 corners; it takes "
                   "no --samples or --seed", file=sys.stderr)
             return 2
-        chunks = corner_scan(args.tolerance)
-        config = {"mode": "corners", "tolerance": args.tolerance}
+        chunks = corner_scan()
+        config = {"mode": "corners"}
     else:
         samples = 1000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
-        chunks = scan(samples, seed=seed, tolerance=args.tolerance)
-        config = {"mode": "random", "samples": samples, "seed": seed,
-                  "tolerance": args.tolerance}
+        chunks = scan(samples, seed=seed)
+        config = {"mode": "random", "samples": samples, "seed": seed}
     pieces = _scan_pieces(args.format, config, chunks)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -371,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--alpha", help="12 or 15 comma-separated angles")
     p_check.add_argument("--theta", help="3 comma-separated spectrum angles")
     p_check.add_argument("--matrix", help="path to a 4x8 re/im matrix file")
-    p_check.add_argument("--tolerance", type=float, default=1e-10)
     p_check.add_argument("--timing", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random states to scan (default: 1000)")
     p_scan.add_argument("--seed", type=int, default=None,
                         help="generator seed (default: 0)")
-    p_scan.add_argument("--tolerance", type=float, default=1e-10)
     p_scan.add_argument("--corners", action="store_true",
                         help="exhaustive 2^15 min/max corner scan")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -322,16 +322,19 @@ def _monte_carlo_volume(group: str, samples: int, seed: int):
 
 
 def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
-                 seed: int = 0) -> VolumeResult:
+                 seed: int | None = None) -> VolumeResult:
     """Integrate the Haar density over the volume ranges and apply the
     center normalization.
 
     resolution is nodes per nontrivial axis (quadrature, 2 to 1024) or the
     total sample count (Monte Carlo, >= 1000).  A Monte Carlo estimate
-    depends only on (group, resolution, seed).
+    depends only on (group, resolution, seed), a seed of None reading as 0.
+    Quadrature draws nothing and raises ValueError when given a seed.
     """
     g = normalize_group(group)
     if method == "quadrature":
+        if seed is not None:
+            raise ValueError("quadrature draws nothing and takes no seed")
         # leggauss builds an n x n companion matrix (n^3 time); 12 nodes
         # already reach 1e-15 relative error.
         if not (_is_integer(resolution) and 2 <= resolution <= 1024):
@@ -343,7 +346,7 @@ def group_volume(group: str, method: str = "quadrature", resolution: int = 64,
         if not (_is_integer(resolution) and resolution >= 1000):
             raise ValueError("Monte Carlo needs an integer resolution of at least "
                              f"1000 samples, got {resolution!r}")
-        est, se = _monte_carlo_volume(g, resolution, seed)
+        est, se = _monte_carlo_volume(g, resolution, 0 if seed is None else seed)
         return VolumeResult(est, se, "monte_carlo", resolution, _NORMALIZATION[g])
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")
 

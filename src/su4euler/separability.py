@@ -3,6 +3,8 @@
 For a two-qubit state the partially transposed matrix has at most one
 negative eigenvalue, so the sign of the constant characteristic-polynomial
 coefficient d (the determinant) decides entanglement: d < 0 iff entangled.
+The computed d is read against one fixed cut: entangled when d < -1e-10,
+boundary when |d| <= 1e-10, separable otherwise.
 The quartic/resolvent-cubic eigenvalue path is kept alongside as the
 radical-formula route and is validated against the Hermitian eigensolver.
 
@@ -236,47 +238,44 @@ def eigenvalues_via_resolvent(dq: DepressedQuartic) -> np.ndarray | None:
     return t + 0.25
 
 
-def _classify(rho: np.ndarray, tolerance: float) -> Classification:
+# The one verdict cut, on d and on the PT eigenvalues that neg_count counts.
+# Fixed, not chosen, yet it bounds no error: d is quartic in the eigenvalues.
+_CUT = 1e-10
+
+
+def _classify(rho: np.ndarray) -> Classification:
     pt = partial_transpose(rho)
     d = char_poly_coeffs(pt).d
     eigs = np.linalg.eigvalsh(pt)
     return Classification(
         d=d,
         min_eig=eigs[..., 0],
-        neg_count=(eigs < -tolerance).sum(axis=-1),
-        entangled=d < -tolerance,
-        boundary=abs(d) <= tolerance,
+        neg_count=(eigs < -_CUT).sum(axis=-1),
+        entangled=d < -_CUT,
+        boundary=abs(d) <= _CUT,
     )
 
 
-def _check_tolerance(tolerance: float) -> None:
-    # NaN fails both comparisons; bool is a Real but no tolerance.
-    if not (isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
-            and 0.0 <= tolerance < np.inf):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-
-
-def classify(rho: np.ndarray, tolerance: float = 1e-10) -> Classification:
+def classify(rho: np.ndarray) -> Classification:
     """Classify (..., 4, 4) density matrices by the sign of d = det(rho^pt).
 
     rho^pt transposes subsystem B: rho^{T_A} = (rho^{T_B})^T has the same spectrum.
-    Validates the tolerance (finite, >= 0) and every caller state, then
-    returns columns shaped like the stack: d by Faddeev-LeVerrier, and the
-    minimum eigenvalue and negative-eigenvalue count of the partial
-    transpose for audit.  The audit must agree with the d verdict whenever
-    |d| exceeds the tolerance.
+    Validates every caller state, then returns columns shaped like the
+    stack: d by Faddeev-LeVerrier, entangled when d < -1e-10 and boundary
+    when |d| <= 1e-10, and the minimum eigenvalue and count of eigenvalues
+    below -1e-10 of the partial transpose for audit.  The audit agrees with
+    the d verdict whenever |d| > 1e-10.  The cut is fixed, not a parameter.
     """
-    _check_tolerance(tolerance)
     validate_density_matrix(rho)
-    return _classify(rho, tolerance)
+    return _classify(rho)
 
 
-def is_entangled(rho: np.ndarray, tolerance: float = 1e-10) -> SeparabilityVerdict:
+def is_entangled(rho: np.ndarray) -> SeparabilityVerdict:
     """Verdict for one two-qubit density matrix; see classify."""
     if np.shape(rho) != (4, 4):
         raise ValidationError(
             f"shape invariant violated: expected (4, 4), got {np.shape(rho)}")
-    c = classify(rho, tolerance)
+    c = classify(rho)
     return SeparabilityVerdict(
         entangled=bool(c.entangled),
         d_value=c.d,
@@ -286,22 +285,17 @@ def is_entangled(rho: np.ndarray, tolerance: float = 1e-10) -> SeparabilityVerdi
     )
 
 
-def classify_chunks(chunks, tolerance: float):
-    """Iterator of (start, alphas, thetas, Classification) for each (alphas,
+def classify_chunks(chunks):
+    """Yield (start, alphas, thetas, Classification) for each (alphas,
     thetas) chunk of states V(alphas) rho_d(thetas) V^dagger, start being
-    the sample index of the chunk's first state.  The tolerance is checked
-    at the call; rho_full rejects non-finite angles, and the states it
+    the sample index of the chunk's first state; the verdicts are
+    classify's.  rho_full rejects non-finite angles, and the states it
     builds from finite ones are valid by construction, so
     validate_density_matrix and its eigensolver are skipped."""
-    _check_tolerance(tolerance)
-
-    def classified():
-        start = 0
-        for a, t in chunks:
-            yield start, a, t, _classify(rho_full(a, t), tolerance)
-            start += len(a)
-
-    return classified()
+    start = 0
+    for a, t in chunks:
+        yield start, a, t, _classify(rho_full(a, t))
+        start += len(a)
 
 
 def _fixed_spectrum(spectrum_policy):
@@ -352,8 +346,7 @@ def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform"):
     return drawn()
 
 
-def scan(samples: int, seed: int = 0, spectrum_policy="uniform",
-         tolerance: float = 1e-10):
+def scan(samples: int, seed: int = 0, spectrum_policy="uniform"):
     """Classify random states V rho_d V^dagger with Haar-random V.
 
     The 12 conjugation angles are a1..a12 of the Haar sampler over the SU(4)
@@ -370,7 +363,7 @@ def scan(samples: int, seed: int = 0, spectrum_policy="uniform",
     states come from one seeded generator: the output depends only on the
     arguments.
     """
-    return classify_chunks(scan_angles(samples, seed, spectrum_policy), tolerance)
+    return classify_chunks(scan_angles(samples, seed, spectrum_policy))
 
 
 def corner_angles():
@@ -384,12 +377,11 @@ def corner_angles():
         yield alpha_corners, np.broadcast_to(theta, (4096, 3))
 
 
-def corner_scan(tolerance: float = 1e-10):
+def corner_scan():
     """Exhaustive classification at all 2^15 min/max parameter corners.
 
-    Returns scan's chunk iterator over eight chunks of 4096 states; the
-    tolerance is checked at the call.  Sample index t * 4096 + m: bit b of m
-    selects the upper endpoint of a_{b+1} (b < 12), bit j of t the upper
-    endpoint of t_{j+1}.
+    Returns scan's chunk iterator over eight chunks of 4096 states.  Sample
+    index t * 4096 + m: bit b of m selects the upper endpoint of a_{b+1}
+    (b < 12), bit j of t the upper endpoint of t_{j+1}.
     """
-    return classify_chunks(corner_angles(), tolerance)
+    return classify_chunks(corner_angles())

@@ -33,8 +33,7 @@ def run_angle_paths(capsys):
     """Outputs of every route that classifies states built from angles."""
     records = listed(scan(4100, seed=3))
     corners = listed(corner_scan())
-    chunks = listed(classify_chunks(
-        scan_angles(300, seed=5), 1e-4))
+    chunks = listed(classify_chunks(scan_angles(300, seed=5)))
     assert cli.main(["scan", "--samples", "300", "--seed", "2",
                      "--format", "json"]) == 0
     return records, corners, chunks, capsys.readouterr().out

@@ -43,6 +43,14 @@ def test_basis_structure_table():
     assert any(line.startswith("f(4,5,8) = 0.86602540378443") for line in lines)
 
 
+def test_basis_structure_takes_no_index():
+    proc = run_cli("basis", "--structure", "--index", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "basis: --structure prints the whole table; it takes no --index\n")
+
+
 def test_basis_bad_index_exits_2():
     proc = run_cli("basis", "--index", "16")
     assert proc.returncode == 2
@@ -162,6 +170,43 @@ def test_check_matrix_excludes_angles(tmp_path, bell_projector, angles):
     assert "foo" not in stderr  # the angles are not read
 
 
+@pytest.mark.parametrize("b,d,verdict,boundary", [
+    (3e-3, -8.1e-11, "separable", True),
+    (3.3e-3, -1.1859e-10, "entangled", False),
+], ids=["inside-cut", "past-cut"])
+def test_check_pure_state_against_the_fixed_cut(tmp_path, b, d, verdict, boundary):
+    # a|00> + b|11>: the PT eigenvalues are a^2, b^2, ab, -ab, so d = -(ab)^4.
+    # The cut |d| <= 1e-10 calls b = 3e-3 boundary although -ab = -3e-3.
+    psi = np.array([np.sqrt(1.0 - b * b), 0.0, 0.0, b], dtype=complex)
+    path = tmp_path / "pure.mat"
+    write_matrix_file(path, np.outer(psi, psi.conj()))
+    proc = run_cli("check", "--matrix", str(path))
+    assert proc.returncode == 0
+    body = json.loads(proc.stdout)
+    assert body["config"] == {"matrix": str(path)}
+    payload = body["payload"]
+    assert payload["verdict"] == verdict
+    assert payload["boundary"] is boundary
+    assert payload["negative_count"] == 1
+    assert payload["d"] == pytest.approx(d, rel=1e-3)
+    assert payload["min_eigenvalue"] == pytest.approx(-b, rel=1e-3)
+
+
+@pytest.mark.parametrize("args", [
+    ("volume", "--group", "su2", "--method", "mc", "--samples", "1000"),
+    ("check", "--alpha", ZERO_ALPHA, "--theta", LOWER_THETA),
+    ("rho", "--alpha", ZERO_ALPHA, "--theta", LOWER_THETA),
+], ids=["volume", "check", "rho"])
+def test_timing_adds_only_elapsed_seconds(args):
+    plain = run_cli(*args)
+    timed = run_cli(*args, "--timing")
+    assert plain.returncode == timed.returncode == 0
+    body = json.loads(timed.stdout)
+    elapsed = body.pop("elapsed_seconds")
+    assert isinstance(elapsed, float) and np.isfinite(elapsed) and elapsed >= 0.0
+    assert body == json.loads(plain.stdout)
+
+
 def test_check_rejects_malformed_angle_expression():
     proc = run_cli("check", "--alpha", "__import__('os')," + ZERO_ALPHA,
                    "--theta", LOWER_THETA)
@@ -218,13 +263,15 @@ def test_nonfinite_alpha_exits_2(command):
 
 @pytest.mark.parametrize("args", [
     ("check", "--alpha", ZERO_ALPHA, "--theta", "pi/2,pi/2,pi/2",
-     "--tolerance", "-1"),
-    ("scan", "--samples", "5", "--tolerance", "nan"),
+     "--tolerance", "0"),
+    ("scan", "--samples", "5", "--tolerance", "1e-3"),
 ])
 def test_bad_tolerance_exits_2(args):
+    # The verdict cut is fixed: every tolerance is an unknown flag.
     proc = run_cli(*args)
     assert proc.returncode == 2
-    assert "tolerance must be finite and >= 0" in proc.stderr.decode()
+    assert proc.stdout == b""
+    assert "unrecognized arguments: --tolerance" in proc.stderr.decode()
 
 
 @pytest.mark.parametrize("expr", ["1/0", "9**9**9", "(-1)**0.5", "acos(2)",
@@ -372,8 +419,7 @@ def test_random_scan_config_keeps_default_samples_and_seed():
     proc = run_cli("scan", "--format", "json")
     assert proc.returncode == 0
     body = json.loads(proc.stdout)
-    assert body["config"] == {"mode": "random", "samples": 1000, "seed": 0,
-                              "tolerance": 1e-10}
+    assert body["config"] == {"mode": "random", "samples": 1000, "seed": 0}
     assert body["summary"]["total"] == 1000
 
 
@@ -386,9 +432,9 @@ def test_scan_output_file(tmp_path):
 
 def test_failed_scan_writes_no_output(tmp_path):
     out = tmp_path / "records.csv"
-    proc = run_cli("scan", "--samples", "5", "--tolerance", "nan",
-                   "--output", str(out))
+    proc = run_cli("scan", "--samples", "5", "--seed", "-1", "--output", str(out))
     assert proc.returncode == 2
+    assert "seed must be an integer >= 0" in proc.stderr.decode()
     assert not out.exists()
 
 

@@ -201,6 +201,19 @@ def test_monte_carlo_deterministic_per_config():
     assert c.estimate != a.estimate
 
 
+@pytest.mark.parametrize("seed", ["not a seed", -5, 0, 3])
+def test_quadrature_takes_no_seed(seed):
+    # Quadrature draws nothing, so a seed given to it is refused, not ignored.
+    with pytest.raises(ValueError, match="seed"):
+        group_volume("su2", "quadrature", 8, seed=seed)
+
+
+def test_monte_carlo_seed_defaults_to_zero():
+    result = group_volume("su4", "monte_carlo", 10**5)
+    assert result == group_volume("su4", "monte_carlo", 10**5, seed=0)
+    assert result == group_volume("su4", "monte_carlo", 10**5, seed=None)
+
+
 def test_volume_resolution_validation():
     with pytest.raises(ValueError):
         group_volume("su4", "quadrature", 1)

@@ -46,15 +46,13 @@ def _summary(records) -> dict:
     }
 
 
-def reference_output(fmt, corners=False, samples=1000, seed=0,
-                     tolerance=1e-10) -> str:
+def reference_output(fmt, corners=False, samples=1000, seed=0) -> str:
     if corners:
-        chunks = corner_scan(tolerance)
-        config = {"mode": "corners", "tolerance": tolerance}
+        chunks = corner_scan()
+        config = {"mode": "corners"}
     else:
-        chunks = scan(samples, seed=seed, tolerance=tolerance)
-        config = {"mode": "random", "samples": samples, "seed": seed,
-                  "tolerance": tolerance}
+        chunks = scan(samples, seed=seed)
+        config = {"mode": "random", "samples": samples, "seed": seed}
     return _reference_text(fmt, config, chunks)
 
 
@@ -89,7 +87,6 @@ CASES = {
     "one-sample": {"samples": 1},
     "chunk-boundary": {"samples": 4097, "seed": 3},
     "covering": {"samples": 333, "seed": 2},
-    "tolerance": {"samples": 300, "seed": 9, "tolerance": 1e-4},
     "corners": {"corners": True},
 }
 
@@ -136,7 +133,7 @@ def test_scan_pieces_keep_signed_zeros(fmt):
                        neg_count=np.array([0, 0, 1]),
                        entangled=np.array([False, False, True]),
                        boundary=np.array([True, True, False]))
-    config = {"mode": "random", "samples": 3, "seed": 0, "tolerance": 1e-10}
+    config = {"mode": "random", "samples": 3, "seed": 0}
     text = "".join(cli._scan_pieces(fmt, config, iter([(0, alphas, thetas, c)])))
     reference = _reference_text(fmt, config, [(0, alphas, thetas, c)])
     assert "-0.0" in reference
@@ -152,19 +149,12 @@ def test_stdout_equals_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
-def test_nondefault_tolerance_moves_tallies():
-    loose = reference_output("csv", **CASES["tolerance"]).splitlines()[-1]
-    tight = reference_output("csv", samples=300, seed=9).splitlines()[-1]
-    assert loose != tight
-
-
 @pytest.mark.parametrize("args,tally", [
     (["--samples", "10000", "--seed", "1"], (2933, 7067, 0)),
     (["--samples", "10000", "--seed", "7"], (2892, 7108, 0)),
     (["--samples", "333", "--seed", "2"], (106, 227, 0)),
-    (["--samples", "5000", "--seed", "9", "--tolerance", "1e-3"], (640, 2557, 1803)),
     (["--corners"], (4096, 0, 28672)),
-], ids=["seed1", "seed7", "covering", "tolerance", "corners"])
+], ids=["seed1", "seed7", "covering", "corners"])
 def test_golden_scan_tallies(tmp_path, args, tally):
     """Verdict tallies of the golden scans, pinned where their hashes cannot
     be: the hashes follow the BLAS build, the verdicts should not."""

@@ -307,19 +307,35 @@ def test_validate_rejects_nonfinite_entries(row, col, value):
         validate_density_matrix(stack)
 
 
-@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf, "x", True, False])
+@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf, "x", True, False,
+                                       0.0, 1e-3])
 def test_classify_rejects_bad_tolerance(tolerance):
-    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
-        is_entangled(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        scan(5, tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        corner_scan(tolerance)
+    # The verdict cut is fixed: no classifier takes a tolerance at all.
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    for call in (lambda: classify(rho, tolerance),
+                 lambda: is_entangled(rho, tolerance),
+                 lambda: scan(5, tolerance=tolerance),
+                 lambda: corner_scan(tolerance),
+                 lambda: classify_chunks(iter([]), tolerance)):
+        with pytest.raises(TypeError):
+            call()
 
 
-def test_classify_accepts_zero_tolerance():
-    c = classify(np.eye(4, dtype=complex) / 4.0, tolerance=0.0)
-    assert not c.entangled and not c.boundary
+@pytest.mark.parametrize("b,d,entangled", [
+    (3e-3, -8.1e-11, False),
+    (3.3e-3, -1.1859e-10, True),
+], ids=["inside-cut", "past-cut"])
+def test_pure_state_against_the_fixed_cut(b, d, entangled):
+    # a|00> + b|11>: the PT eigenvalues are a^2, b^2, ab, -ab, so d = -(ab)^4
+    # is quartic in b.  |d| <= 1e-10 calls b = 3e-3 boundary, not entangled,
+    # although its negative PT eigenvalue -ab = -3e-3 is far past the cut.
+    psi = np.array([np.sqrt(1.0 - b * b), 0.0, 0.0, b], dtype=complex)
+    verdict = is_entangled(np.outer(psi, psi.conj()))
+    assert verdict.entangled is entangled
+    assert verdict.boundary is not entangled
+    assert verdict.negative_count == 1
+    assert verdict.d_value == pytest.approx(d, rel=1e-3)
+    assert verdict.min_eigenvalue == pytest.approx(-b, rel=1e-3)
 
 
 def test_sign_agreement_with_eigensolver():
@@ -419,10 +435,9 @@ def test_scan_validation():
     (lambda: scan_angles(2, spectrum_policy=("1", "2", "3")), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=(10**400, 1, 1)), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=list(range(5000))), "spectrum_policy"),
-    (lambda: classify_chunks(iter([]), float("nan")), "tolerance"),
 ], ids=["samples", "seed", "profile", "spectrum", "spectrum-digits",
         "spectrum-case", "spectrum-none", "spectrum-scalar", "spectrum-strings",
-        "spectrum-huge-int", "spectrum-long-list", "tolerance"])
+        "spectrum-huge-int", "spectrum-long-list"])
 def test_scan_parts_check_arguments_at_the_call(call, name):
     with pytest.raises(ValueError, match=name) as raised:
         call()
