@@ -27,6 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import _right_multiply, gell_mann_stack
+from .errors import _shown
 from .euler import (
     RangeProfile,
     SU3_GENERATOR_SEQUENCE,
@@ -229,7 +230,7 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     were drawn from, so they keep their bytes.
     """
     if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+        raise ValueError(f"seed must be an integer >= 0, got {_shown(seed)}")
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 

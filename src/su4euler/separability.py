@@ -1,12 +1,12 @@
 """Partial-transpose separability test in its determinant form.
 
 For a two-qubit state the partially transposed matrix has at most one
-negative eigenvalue, so the sign of the constant characteristic-polynomial
-coefficient d (the determinant) decides entanglement: d < 0 iff entangled.
-The computed d is read against one fixed cut: entangled when d < -1e-10,
-boundary when |d| <= 1e-10, separable otherwise.
-The quartic/resolvent-cubic eigenvalue path is kept alongside as the
-radical-formula route and is validated against the Hermitian eigensolver.
+negative eigenvalue, so the sign of d = det(rho^pt), the product of its
+eigenvalues from the Hermitian eigensolver, decides entanglement: d < 0 iff
+entangled.  d is read against one fixed cut: entangled when d < -1e-10,
+boundary when |d| <= 1e-10, separable otherwise.  The Faddeev-LeVerrier
+coefficients feed only the quartic/resolvent-cubic eigenvalue path, the
+radical-formula route, which is validated against the eigensolver.
 
 classify is the one classification kernel and works on (..., 4, 4) stacks.
 It and is_entangled, its single-matrix case, validate the caller's matrices.
@@ -244,9 +244,8 @@ _CUT = 1e-10
 
 
 def _classify(rho: np.ndarray) -> Classification:
-    pt = partial_transpose(rho)
-    d = char_poly_coeffs(pt).d
-    eigs = np.linalg.eigvalsh(pt)
+    eigs = np.linalg.eigvalsh(partial_transpose(rho))
+    d = eigs.prod(axis=-1)
     return Classification(
         d=d,
         min_eig=eigs[..., 0],
@@ -261,10 +260,10 @@ def classify(rho: np.ndarray) -> Classification:
 
     rho^pt transposes subsystem B: rho^{T_A} = (rho^{T_B})^T has the same spectrum.
     Validates every caller state, then returns columns shaped like the
-    stack: d by Faddeev-LeVerrier, entangled when d < -1e-10 and boundary
-    when |d| <= 1e-10, and the minimum eigenvalue and count of eigenvalues
-    below -1e-10 of the partial transpose for audit.  The audit agrees with
-    the d verdict whenever |d| > 1e-10.  The cut is fixed, not a parameter.
+    stack from one eigensolve of the partial transpose: d, the product of its
+    eigenvalues, entangled when d < -1e-10 and boundary when |d| <= 1e-10,
+    and for audit its minimum eigenvalue and count of eigenvalues below
+    -1e-10, agreeing with the d verdict whenever |d| > 1e-10.  The cut is fixed.
     """
     validate_density_matrix(rho)
     return _classify(rho)
@@ -278,7 +277,7 @@ def is_entangled(rho: np.ndarray) -> SeparabilityVerdict:
     c = classify(rho)
     return SeparabilityVerdict(
         entangled=bool(c.entangled),
-        d_value=c.d,
+        d_value=float(c.d),
         min_eigenvalue=float(c.min_eig),
         negative_count=int(c.neg_count),
         boundary=bool(c.boundary),

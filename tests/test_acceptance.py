@@ -97,17 +97,26 @@ def test_criterion_06_d_criterion_vs_oracle():
     mismatches = 0
     decided = 0
     worst_neg = 0
+    worst_lu = 0.0
     for alphas, thetas, rho in random_states(seed=61, n=10_000):
         verdict = s.is_entangled(rho)
         worst_neg = max(worst_neg, verdict.negative_count)
+        # d is the product of the eigenvalues min_eigenvalue comes from;
+        # the LU determinant is an oracle independent of that eigensolve.
+        lu = np.linalg.det(s.partial_transpose(rho)).real
+        worst_lu = max(worst_lu, abs(lu - verdict.d_value))
         if abs(verdict.d_value) > 1e-10:
             decided += 1
             if verdict.entangled != (verdict.min_eigenvalue < -1e-10):
                 mismatches += 1
+            if verdict.entangled != (lu < 0):
+                mismatches += 1
     assert mismatches == 0, mismatches
     assert worst_neg <= 1
-    _report(6, f"sign-of-d verdict matches min-eigenvalue verdict on all "
-               f"{decided} decided states; negative count <= 1 everywhere")
+    assert worst_lu <= 1e-12, worst_lu
+    _report(6, f"sign-of-d verdict matches min-eigenvalue and LU-determinant "
+               f"verdicts on all {decided} decided states (|d - det| <= "
+               f"{worst_lu:.1e}); negative count <= 1 everywhere")
 
 
 def test_criterion_07_corner_claim():
@@ -130,6 +139,8 @@ def test_criterion_08_known_state_values():
     pt_eigs = np.linalg.eigvalsh(s.partial_transpose(bell))
     assert np.abs(np.sort(pt_eigs) - [-0.5, 0.5, 0.5, 0.5]).max() <= 1e-10
     assert abs(np.prod(pt_eigs) - verdict.d_value) <= 1e-12  # oracle route
+    lu = np.linalg.det(s.partial_transpose(bell)).real  # independent of eigvalsh
+    assert abs(lu - verdict.d_value) <= 1e-12
     mixed = s.is_entangled(np.eye(4, dtype=complex) / 4.0)
     assert abs(mixed.d_value - 1.0 / 256.0) <= 1e-10
     assert not mixed.entangled and verdict.entangled

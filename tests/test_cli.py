@@ -188,7 +188,7 @@ def test_check_pure_state_against_the_fixed_cut(tmp_path, b, d, verdict, boundar
     assert payload["verdict"] == verdict
     assert payload["boundary"] is boundary
     assert payload["negative_count"] == 1
-    assert payload["d"] == pytest.approx(d, rel=1e-3)
+    assert payload["d"] == pytest.approx(d, rel=1e-3, abs=0.0)
     assert payload["min_eigenvalue"] == pytest.approx(-b, rel=1e-3)
 
 

@@ -208,6 +208,17 @@ def test_quadrature_takes_no_seed(seed):
         group_volume("su2", "quadrature", 8, seed=seed)
 
 
+@pytest.mark.parametrize("seed,shown", [
+    ("x" * 300, "'" + "x" * 60 + "'… (300 chars)"),
+    ("", "''"),
+], ids=["long", "empty"])
+def test_rejected_seed_is_shown_by_its_repr_cut_short(seed, shown):
+    # errors._shown: a 300-character seed is echoed as its first 60.
+    with pytest.raises(ValueError) as raised:
+        group_volume("su2", "monte_carlo", 1000, seed=seed)
+    assert str(raised.value) == f"seed must be an integer >= 0, got {shown}"
+
+
 def test_monte_carlo_seed_defaults_to_zero():
     result = group_volume("su4", "monte_carlo", 10**5)
     assert result == group_volume("su4", "monte_carlo", 10**5, seed=0)

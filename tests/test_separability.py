@@ -17,6 +17,7 @@ from su4euler import (
     range_profile,
     resolvent_roots,
     rho_full,
+    sample_haar_unitary,
     scan,
     validate_density_matrix,
 )
@@ -321,29 +322,63 @@ def test_classify_rejects_bad_tolerance(tolerance):
             call()
 
 
+def schmidt_state(b):
+    """a|00> + b|11> with a = sqrt(1 - b^2), as a state vector."""
+    return np.array([np.sqrt(1.0 - b * b), 0.0, 0.0, b], dtype=complex)
+
+
 @pytest.mark.parametrize("b,d,entangled", [
     (3e-3, -8.1e-11, False),
     (3.3e-3, -1.1859e-10, True),
-], ids=["inside-cut", "past-cut"])
+    (1e-5, -1e-20, False),
+    (1e-6, -1e-24, False),
+], ids=["inside-cut", "past-cut", "b=1e-5", "b=1e-6"])
 def test_pure_state_against_the_fixed_cut(b, d, entangled):
     # a|00> + b|11>: the PT eigenvalues are a^2, b^2, ab, -ab, so d = -(ab)^4
     # is quartic in b.  |d| <= 1e-10 calls b = 3e-3 boundary, not entangled,
     # although its negative PT eigenvalue -ab = -3e-3 is far past the cut.
-    psi = np.array([np.sqrt(1.0 - b * b), 0.0, 0.0, b], dtype=complex)
+    # At b = 1e-5 and 1e-6, d lies far below the ~1e-17 rounding of a
+    # trace-recursion determinant, which gets its sign or value wrong.
+    psi = schmidt_state(b)
     verdict = is_entangled(np.outer(psi, psi.conj()))
     assert verdict.entangled is entangled
     assert verdict.boundary is not entangled
     assert verdict.negative_count == 1
-    assert verdict.d_value == pytest.approx(d, rel=1e-3)
+    assert verdict.d_value < 0
+    assert verdict.d_value == pytest.approx(d, rel=1e-3, abs=0.0)
     assert verdict.min_eigenvalue == pytest.approx(-b, rel=1e-3)
+
+
+@pytest.mark.parametrize("b", [1e-5, 1e-6])
+def test_pure_state_under_local_unitaries(b):
+    # (uA x uB) conjugates rho^pt by the unitary uA x conj(uB), so the PT
+    # spectrum, and with it the sign of d = -(ab)^4, does not move.
+    rng = np.random.default_rng(17)
+    su2 = range_profile("su2", "covering")
+
+    def local():  # sample_haar_unitary embeds SU(2) in the top-left block
+        return sample_haar_unitary(rng, su2)[:2, :2]
+
+    for _ in range(100):
+        u = np.kron(local(), local())
+        psi = u @ schmidt_state(b)
+        verdict = is_entangled(np.outer(psi, psi.conj()))
+        assert verdict.boundary and not verdict.entangled
+        assert verdict.negative_count == 1
+        assert verdict.d_value < 0
 
 
 def test_sign_agreement_with_eigensolver():
     for alphas, thetas, rho in random_states(seed=10, n=500):
         verdict = is_entangled(rho)
         assert verdict.negative_count <= 1
+        # d comes from the same eigensolve as min_eigenvalue; the LU
+        # determinant checks it independently.
+        lu = np.linalg.det(partial_transpose(rho)).real
+        assert abs(lu - verdict.d_value) <= 1e-12
         if abs(verdict.d_value) > 1e-10:
             assert verdict.entangled == (verdict.min_eigenvalue < -1e-10)
+            assert verdict.entangled == (lu < 0)
 
 
 def test_d_invariant_under_commuting_tail():
@@ -424,6 +459,8 @@ def test_scan_validation():
 @pytest.mark.parametrize("call,name", [
     (lambda: scan_angles(0), "samples"),
     (lambda: scan_angles(10, seed=-1), "seed"),
+    (lambda: scan_angles(10, seed="x" * 300), "seed"),
+    (lambda: scan(10, seed=""), "seed.* got ''$"),
     # A range name where the spectrum policy goes, as the third positional
     # argument once named the angle ranges.
     (lambda: scan(10, 1, "covering"), "spectrum_policy"),
@@ -435,9 +472,10 @@ def test_scan_validation():
     (lambda: scan_angles(2, spectrum_policy=("1", "2", "3")), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=(10**400, 1, 1)), "spectrum_policy"),
     (lambda: scan_angles(2, spectrum_policy=list(range(5000))), "spectrum_policy"),
-], ids=["samples", "seed", "profile", "spectrum", "spectrum-digits",
-        "spectrum-case", "spectrum-none", "spectrum-scalar", "spectrum-strings",
-        "spectrum-huge-int", "spectrum-long-list"])
+], ids=["samples", "seed", "seed-long-string", "seed-empty-string", "profile",
+        "spectrum", "spectrum-digits", "spectrum-case", "spectrum-none",
+        "spectrum-scalar", "spectrum-strings", "spectrum-huge-int",
+        "spectrum-long-list"])
 def test_scan_parts_check_arguments_at_the_call(call, name):
     with pytest.raises(ValueError, match=name) as raised:
         call()
