@@ -2,9 +2,10 @@
 
 Provides the 15 Hermitian traceless generators with the standard
 normalization Tr[lam_i lam_j] = 2 delta_ij, the antisymmetric structure
-constants f_ijk, matrix commutators, the Euler factors exp(i a lam_g) in
-closed form (one primitive updates only the columns a factor touches), and
-the K/P closure check underlying the group's Euler factorization.
+constants f_ijk, matrix commutators, the K/P closure check underlying the
+group's Euler factorization, and the Euler factors exp(i a lam_g) in closed
+form, equal entry for entry in two shapes: _right_multiply (in place, for
+long stacked products) and _factor_stack (one chain's factors at once).
 """
 
 from dataclasses import dataclass
@@ -146,6 +147,25 @@ def _right_multiply(u: np.ndarray, index: int, angle) -> np.ndarray:
     col_b[...] = upper * col_a + c * col_b
     col_a[...] = mixed_a
     return u
+
+
+def _factor_tables(generators):
+    """Constant tables (iD, I - P, P, R) of a chain's factor stack: iD[k] is
+    the diagonal of i lam_g(k), R[k] its off-diagonal part (one of the two is
+    0), and P[k] the projector onto the columns R[k] touches."""
+    lam = _LAMBDA[np.subtract(generators, 1)]
+    i_d = 1j * np.diagonal(lam, axis1=1, axis2=2)
+    rot = 1j * lam - i_d[..., None] * np.eye(4)
+    proj = np.eye(4) * (rot != 0).any(axis=-1)[:, None, :]
+    return i_d, np.eye(4) - proj, proj, rot
+
+
+def _factor_stack(tables, angles) -> np.ndarray:
+    """Factors exp(i a_k lam_g(k)) as exp(a iD) (I - P) + cos(a) P + sin(a) R,
+    each entry exactly _right_multiply's c, +-s, +-i s or e^{i a d}."""
+    i_d, keep, proj, rot = tables
+    a = angles[:, None, None]
+    return np.exp(a[:, 0] * i_d)[..., None] * keep + np.cos(a) * proj + np.sin(a) * rot
 
 
 def exp_generator(index: int, angle) -> np.ndarray:

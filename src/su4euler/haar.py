@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import _right_multiply, gell_mann_stack
+from .algebra import _LAMBDA, _factor_stack, _factor_tables
 from .errors import _shown
 from .euler import (
     RangeProfile,
@@ -128,6 +128,8 @@ def _density(group: str, angles) -> np.ndarray | float:
     dim = _GROUP_DIM[group]
     if angles.shape[-1:] != (dim,):
         raise ValueError(f"expected trailing dimension {dim}, got {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
     out = np.ones(angles.shape[:-1])
     for axis, (factor, _) in _DENSITY_FACTORS[group].items():
         out = out * factor(angles[..., axis])
@@ -155,17 +157,26 @@ def haar_density_su2(angles) -> np.ndarray | float:
     return _density("su2", angles)
 
 
+# Per chain: factor-stack tables of F_2..F_n (F_1 enters no one-form), lam_g(k)
+# stacked, and a (32, n) basis table: column j is lam_{j+1} / 2 as (re, im) pairs.
+_CHAIN_TABLES = {seq: (_factor_tables(seq[1:]), _LAMBDA[np.subtract(seq, 1)],
+                       0.5 * _LAMBDA[:len(seq)].reshape(len(seq), 16).view(float).T)
+                 for seq in (SU4_GENERATOR_SEQUENCE, SU3_GENERATOR_SEQUENCE)}
+_EYE = np.eye(4, dtype=complex)[None]
+
+
 def _one_form_coefficients(generators, angles) -> np.ndarray:
     """Coefficients c_kj of the invariant one-forms of the chain
     U = F_1 ... F_n, F_k = exp(i a_k lam_{g(k)}), over lam_1..lam_n.
 
-    With S = F_{k+1} ... F_n, S^dagger built from the right by the factors
-    exp(-i a_k lam_{g(k)}) as k runs down,
-
-        U^dagger dU/da_k = S^dagger (i lam_{g(k)}) S = i sum_j c_kj lam_j,
-
-    so c_kj = Tr[lam_j S^dagger lam_{g(k)} S] / 2, real up to rounding since
-    the conjugated generator is Hermitian; the real part is kept.
+    With the suffix products S_k = F_{k+1} ... F_n (S_n = I),
+        U^dagger dU/da_k = S_k^dagger (i lam_{g(k)}) S_k = i sum_j c_kj lam_j,
+    so c_kj = Tr[lam_j X_k] / 2 with X_k = S_k^dagger lam_{g(k)} S_k, real up
+    to rounding since X_k is Hermitian; the real part is kept.  No loop runs
+    over the factors: a doubling scan turns the closed-form stack F_2..F_n, I
+    into S_1..S_n (after the round of step h, entry k is the product of the
+    2h entries from k on), X is one stacked product, and the traces are one
+    real matrix product with the basis table.
     """
     angles = np.asarray(angles, dtype=float)
     n = len(generators)
@@ -173,13 +184,14 @@ def _one_form_coefficients(generators, angles) -> np.ndarray:
         raise ValueError(f"expected {n} angles, got shape {angles.shape}")
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
-    lam = gell_mann_stack()
-    x = np.empty((n, 4, 4), dtype=complex)
-    s_dag = np.eye(4, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        x[k] = s_dag @ lam[generators[k] - 1] @ s_dag.conj().T
-        _right_multiply(s_dag, generators[k], -angles[k])
-    return 0.5 * np.einsum("jab,kba->kj", lam[:n], x).real
+    factors, lam_g, basis = _CHAIN_TABLES[generators]
+    s = np.concatenate((_factor_stack(factors, angles[1:]), _EYE))
+    step = 1
+    while step < n - 1:
+        s[:n - step] = s[:n - step] @ s[step:]
+        step *= 2
+    x = s.conj().transpose(0, 2, 1) @ lam_g @ s
+    return x.reshape(n, 16).view(float) @ basis
 
 
 def one_form_matrix(angles) -> np.ndarray:

@@ -15,6 +15,7 @@ angles, valid by construction, and skip that check.
 """
 
 import cmath
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -167,7 +168,7 @@ def depressed_quartic(coeffs: CharPolyCoeffs) -> DepressedQuartic:
         p = b - 3/8,  q = b/2 + c - 1/8,  r = b/16 + c/4 + d - 3/256.
     """
     a, b, c, d = coeffs
-    if abs(a + 1.0) > 1e-9:
+    if not abs(a + 1.0) <= 1e-9:
         raise ValueError(f"shift requires a = -1 (unit trace); got a = {a!r}")
     p = b - 3.0 / 8.0
     q = 0.5 * b + c - 1.0 / 8.0
@@ -222,20 +223,17 @@ def eigenvalues_via_resolvent(dq: DepressedQuartic) -> np.ndarray | None:
     if not rr.branch_valid:
         return None
     p, q, r = dq
-    s = np.sqrt(np.maximum([g.real for g in rr.gammas], 0.0))
+    s0, s1, s2 = (math.sqrt(max(g.real, 0.0)) for g in rr.gammas)
     if q > 0.0:
-        s[2] = -s[2]
-    t = 0.5 * np.array([
-        s[0] + s[1] + s[2],
-        s[0] - s[1] - s[2],
-        -s[0] + s[1] - s[2],
-        -s[0] - s[1] + s[2],
-    ])
-    f = t**4 + p * t**2 + q * t + r
-    fp = 4.0 * t**3 + 2.0 * p * t + q
-    safe = np.abs(fp) > 1e-6
-    t[safe] -= f[safe] / fp[safe]
-    return t + 0.25
+        s2 = -s2
+    roots = []
+    for t in (0.5 * (s0 + s1 + s2), 0.5 * (s0 - s1 - s2),
+              0.5 * (-s0 + s1 - s2), 0.5 * (-s0 - s1 + s2)):
+        fp = 4.0 * t**3 + 2.0 * p * t + q
+        if abs(fp) > 1e-6:
+            t -= (t**4 + p * t**2 + q * t + r) / fp
+        roots.append(t + 0.25)
+    return np.array(roots)
 
 
 # The one verdict cut, on d and on the PT eigenvalues that neg_count counts.

@@ -6,6 +6,8 @@ import pytest
 from su4euler import (
     K_INDICES,
     P_INDICES,
+    SU3_GENERATOR_SEQUENCE,
+    SU4_GENERATOR_SEQUENCE,
     cartan_closure_check,
     commutator,
     exp_generator,
@@ -16,6 +18,8 @@ from su4euler import (
     structure_constant,
     structure_constants,
 )
+from su4euler.algebra import _factor_stack, _factor_tables
+
 from conftest import expm_taylor
 
 SQ3 = np.sqrt(3.0)
@@ -293,6 +297,23 @@ def test_exp_generator_rejects_nonfinite_angle():
         exp_generator(3, np.inf)
     with pytest.raises(ValueError):
         exp_generator(3, np.nan)
+
+
+@pytest.mark.parametrize("generators", [SU4_GENERATOR_SEQUENCE, SU3_GENERATOR_SEQUENCE],
+                         ids=["su4", "su3"])
+def test_factor_stack_equals_exp_generator(generators):
+    # Value for value, not to a tolerance: both closed forms put exactly
+    # c, +-s, +-i s or e^{i a d} in each entry (only the sign of a zero may
+    # differ, and -0.0 == 0.0).  I + (c - 1) P + s R would round c and fail.
+    tables = _factor_tables(generators)
+    n = len(generators)
+    special = [np.zeros(n), np.full(n, np.pi / 2), np.full(n, -np.pi / 2),
+               np.full(n, np.pi)]
+    random = np.random.default_rng(41).uniform(-2 * np.pi, 2 * np.pi, (200, n))
+    for angles in [*special, *random]:
+        stack = _factor_stack(tables, angles)
+        for k, g in enumerate(generators):
+            assert np.array_equal(stack[k], exp_generator(g, angles[k])), (g, angles[k])
 
 
 def test_cartan_closure_report():

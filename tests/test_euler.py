@@ -8,6 +8,9 @@ from su4euler import (
     compose_su2,
     compose_su3,
     compose_su4,
+    haar_density,
+    haar_density_su2,
+    haar_density_su3,
     one_form_matrix,
     range_profile,
     rho_full,
@@ -195,6 +198,12 @@ def test_one_form_and_exp_generator_reject_nonfinite_angle(bad):
     angles[7] = bad
     with pytest.raises(ValueError, match="angles must be finite"):
         one_form_matrix(angles)
+    # a8 sits on a nontrivial axis of each density: a7..a14 is the SU(3)
+    # vector and a7, a8, a9 the SU(2) one, with a8 as its nu.
+    for density, vector in [(haar_density, angles), (haar_density_su3, angles[6:14]),
+                            (haar_density_su2, angles[6:9])]:
+        with pytest.raises(ValueError, match="^angles must be finite$"):
+            density(vector)
     for angle in (bad, angles):
         with pytest.raises(ValueError, match=rf"^angle must be finite, got {bad}$"):
             exp_generator(5, angle)

@@ -120,6 +120,15 @@ def test_one_form_rows_match_transposed_chain(group, generators, one_form):
     points = [np.zeros(len(generators))]
     for seed, kind in [(26, "volume"), (27, "covering")]:
         points.extend(uniform_points(seed, 100, range_profile(group, kind)))
+    # Corners of the volume ranges, each angle at 0 or its upper end: the
+    # off-diagonal factors sit at 0 or pi/2, so their cos and sin are 0 or
+    # 1 up to the rounding of pi/2.  All 2^8 for SU(3), a seeded 256 of the
+    # 2^15 for SU(4).
+    n = len(generators)
+    corners = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    if len(corners) > 256:
+        corners = np.random.default_rng(28).choice(corners, 256, replace=False)
+    points.extend(corners * range_profile(group, "volume").lengths())
     for point in points:
         expected = one_form_by_transposed_chain(generators, point, basis)
         assert np.abs(one_form(point) - expected).max() <= 1e-15

@@ -160,9 +160,11 @@ def test_depressed_quartic_examples():
     assert np.allclose(expanded[:3], (pure.r, pure.q, pure.p), atol=1e-15)
 
 
-def test_depressed_quartic_requires_unit_trace():
-    with pytest.raises(ValueError):
-        depressed_quartic(CharPolyCoeffs(-0.5, 0.0, 0.0, 0.0))
+@pytest.mark.parametrize("trace", [0.5, np.nan, np.inf, -np.inf],
+                         ids=["half", "nan", "inf", "-inf"])
+def test_depressed_quartic_requires_unit_trace(trace):
+    with pytest.raises(ValueError, match="unit trace"):
+        depressed_quartic(CharPolyCoeffs(-trace, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e1, 1e2, 1e3, 1e4])
