@@ -7,18 +7,9 @@ __version__ = "0.1.0"
 from .errors import ConsistencyError, ValidationError
 from .algebra import (
     N_GENERATORS,
-    CartanClosureReport,
-    GeneratorClass,
-    K_INDICES,
-    P_INDICES,
-    cartan_closure_check,
-    commutator,
     exp_generator,
     gell_mann,
     gell_mann_stack,
-    generator_class,
-    pairing,
-    structure_constant,
     structure_constants,
 )
 from .euler import (
@@ -39,7 +30,6 @@ from .haar import (
     haar_density,
     haar_density_su2,
     haar_density_su3,
-    normalization_factor,
     one_form_matrix,
     one_form_matrix_su3,
     sample_haar_angles,
@@ -55,7 +45,6 @@ from .density import (
     rho_diagonal,
     rho_full,
     spectrum_diagonal,
-    spectrum_profile_check,
 )
 from .separability import (
     CharPolyCoeffs,

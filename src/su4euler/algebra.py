@@ -2,15 +2,14 @@
 
 Provides the 15 Hermitian traceless generators with the standard
 normalization Tr[lam_i lam_j] = 2 delta_ij, the antisymmetric structure
-constants f_ijk, matrix commutators, the K/P closure check underlying the
-group's Euler factorization, and the Euler factors exp(i a lam_g) in closed
-form, equal entry for entry in two shapes: _right_multiply (in place, for
-long stacked products) and _factor_stack (one chain's factors at once).
+constants f_ijk, and the Euler factors exp(i a lam_g) in closed form, equal
+entry for entry in two shapes: _right_multiply (in place, for long stacked
+products) and _factor_stack (one chain's factors at once).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .errors import _is_integer, _shown
 
 N_GENERATORS = 15
 
@@ -22,19 +21,6 @@ _DIAGONALS = {
     8: np.array([1.0, 1.0, -2.0, 0.0]) / np.sqrt(3.0),
     15: np.array([1.0, 1.0, 1.0, -3.0]) / np.sqrt(6.0),
 }
-
-# Euler-factorization split: K generates the U(3) subgroup, P the coset part.
-K_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 15)
-P_INDICES = (9, 10, 11, 12, 13, 14)
-
-
-@dataclass(frozen=True)
-class GeneratorClass:
-    """Shape of a generator: 'diagonal' or 'embedded-rotation', plus the
-    0-based rows/columns it touches."""
-
-    kind: str
-    support: tuple[int, ...]
 
 
 def _build_generators() -> np.ndarray:
@@ -55,7 +41,9 @@ _LAMBDA = _build_generators()
 
 
 def _check_index(index: int) -> None:
-    if not (1 <= index <= N_GENERATORS):
+    if not _is_integer(index):
+        raise ValueError(f"generator index must be an integer, got {_shown(index)}")
+    if not 1 <= index <= N_GENERATORS:
         raise ValueError(f"generator index out of range 1..{N_GENERATORS}: {index}")
 
 
@@ -68,28 +56,6 @@ def gell_mann(index: int) -> np.ndarray:
 def gell_mann_stack() -> np.ndarray:
     """Read-only (15, 4, 4) stack of all generators, lam_1 at slot 0."""
     return _LAMBDA
-
-
-def generator_class(index: int) -> GeneratorClass:
-    """Classify a generator for closed-form exponentiation."""
-    _check_index(index)
-    if index in _DIAGONALS:
-        support = tuple(np.nonzero(_DIAGONALS[index])[0])
-        return GeneratorClass("diagonal", support)
-    pair = _SYMMETRIC_PAIRS.get(index) or _ANTISYMMETRIC_PAIRS[index]
-    return GeneratorClass("embedded-rotation", pair)
-
-
-def pairing(i: int, j: int) -> float:
-    """Tr[lam_i lam_j]; equals 2 delta_ij under this normalization."""
-    _check_index(i)
-    _check_index(j)
-    return float(np.trace(_LAMBDA[i - 1] @ _LAMBDA[j - 1]).real)
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix commutator ab - ba."""
-    return a @ b - b @ a
 
 
 def _build_structure_constants() -> np.ndarray:
@@ -107,14 +73,6 @@ def _build_structure_constants() -> np.ndarray:
 
 
 _F = _build_structure_constants()
-
-
-def structure_constant(i: int, j: int, k: int) -> float:
-    """Structure constant f_ijk (1-based indices), from the precomputed table."""
-    _check_index(i)
-    _check_index(j)
-    _check_index(k)
-    return float(_F[i - 1, j - 1, k - 1])
 
 
 def structure_constants() -> np.ndarray:
@@ -179,53 +137,3 @@ def exp_generator(index: int, angle) -> np.ndarray:
         raise ValueError(f"angle must be finite, got {angle[~np.isfinite(angle)][0]}")
     u = np.broadcast_to(np.eye(4, dtype=complex), angle.shape + (4, 4)).copy()
     return _right_multiply(u, index, angle)
-
-
-@dataclass(frozen=True)
-class CartanClosureReport:
-    """Outcome of the K/P commutator closure check.
-
-    pair_ok maps each checked ordered pair (i, j) to True/False; violations
-    lists (i, j, k, f_ijk) entries that land outside the allowed span.
-    """
-
-    kk_ok: bool
-    pp_ok: bool
-    kp_ok: bool
-    pair_ok: dict
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return self.kk_ok and self.pp_ok and self.kp_ok
-
-
-def cartan_closure_check(tol: float = 1e-13) -> CartanClosureReport:
-    """Verify [K,K] in span K, [P,P] in span K, [K,P] in span P.
-
-    Uses the structure-constant table: the commutator [lam_i, lam_j] has a
-    component on lam_k iff f_ijk != 0.
-    """
-    k_set = set(K_INDICES)
-    p_set = set(P_INDICES)
-    pair_ok: dict = {}
-    violations: list = []
-
-    def check_sector(rows, cols, forbidden):
-        ok = True
-        for i in rows:
-            for j in cols:
-                good = True
-                for k in forbidden:
-                    f = _F[i - 1, j - 1, k - 1]
-                    if abs(f) > tol:
-                        violations.append((i, j, k, float(f)))
-                        good = False
-                pair_ok[(i, j)] = good
-                ok = ok and good
-        return ok
-
-    kk_ok = check_sector(K_INDICES, K_INDICES, p_set)
-    pp_ok = check_sector(P_INDICES, P_INDICES, p_set)
-    kp_ok = check_sector(K_INDICES, P_INDICES, k_set)
-    return CartanClosureReport(kk_ok, pp_ok, kp_ok, pair_ok, violations)

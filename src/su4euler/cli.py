@@ -136,14 +136,14 @@ def _emit_envelope(command, config, payload, timing_started=None):
 
 
 def _rho_from_args(args) -> tuple:
-    """Build (rho, theta, alphas) from --alpha/--theta flags."""
+    """Build (rho, theta) from --alpha/--theta flags."""
     alphas = parse_angle_list(args.alpha, (12, 15))
     thetas = parse_angle_list(args.theta, (3,))
     if len(alphas) == 15:
         rho = conjugate(compose_su4(alphas), thetas)
     else:
         rho = rho_full(alphas, thetas)
-    return rho, thetas, alphas
+    return rho, thetas
 
 
 def cmd_basis(args) -> int:
@@ -211,7 +211,7 @@ def cmd_check(args) -> int:
         rho = load_matrix_file(args.matrix)
         config = {"matrix": args.matrix}
     elif args.matrix is None and args.alpha and args.theta:
-        rho, _, _ = _rho_from_args(args)
+        rho, _ = _rho_from_args(args)
         config = {"alpha": args.alpha, "theta": args.theta}
     else:
         print("check: provide --matrix FILE or both --alpha and --theta, not both",
@@ -325,7 +325,7 @@ def cmd_scan(args) -> int:
 
 def cmd_rho(args) -> int:
     started = time.perf_counter() if args.timing else None
-    rho, thetas, alphas = _rho_from_args(args)
+    rho, thetas = _rho_from_args(args)
     coeffs = bloch_coefficients(thetas)
     payload = {
         "rho": rho,

@@ -96,9 +96,3 @@ def rho_full(alphas, theta) -> np.ndarray:
     angles a1..a12 and the spectrum angles; angles (..., 12) and (..., 3)
     give a (..., 4, 4) stack."""
     return conjugate(compose(CONJUGATION_SEQUENCE, alphas), theta)
-
-
-def spectrum_profile_check(theta) -> bool:
-    """True iff each spectrum angle lies in its defining closed interval."""
-    return all(lo <= float(t) <= hi
-               for t, lo, hi in zip(theta, SPECTRUM_LOWER, SPECTRUM_UPPER))

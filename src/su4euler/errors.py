@@ -1,5 +1,12 @@
-"""Exception types shared across the package, and how an input is shown
-in their messages."""
+"""Exception types shared across the package, how an input is shown in
+their messages, and the integer test the input checks share."""
+
+import numpy as np
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for bool, float and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _shown(value) -> str:

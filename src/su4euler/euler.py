@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _right_multiply
+from .algebra import _check_index, _right_multiply
+from .errors import _shown
 
 SU4_GENERATOR_SEQUENCE = (3, 2, 3, 5, 3, 10, 3, 2, 3, 5, 3, 2, 3, 8, 15)
 SU3_GENERATOR_SEQUENCE = SU4_GENERATOR_SEQUENCE[6:14]  # (3, 2, 3, 5, 3, 2, 3, 8)
@@ -68,20 +69,23 @@ class RangeProfile:
         return np.array([hi - lo for lo, hi in self.bounds])
 
 
+def _lookup(name: str, allowed: tuple, what: str) -> str:
+    """name lower-cased if it is a string naming one of allowed."""
+    key = name.lower() if isinstance(name, str) else None
+    if key not in allowed:
+        raise ValueError(f"unknown {what} {_shown(name)}; expected one of {allowed}")
+    return key
+
+
 def normalize_group(group: str) -> str:
-    g = group.lower()
-    if g not in _GROUPS:
-        raise ValueError(f"unknown group {group!r}; expected one of {_GROUPS}")
-    return g
+    return _lookup(group, _GROUPS, "group")
 
 
 def range_profile(group: str, kind: str) -> RangeProfile:
     """The volume ranges (integrate to the group volume after normalization)
     or the covering ranges (parametrize every group element)."""
     g = normalize_group(group)
-    k = kind.lower()
-    if k not in _KINDS:
-        raise ValueError(f"unknown range kind {kind!r}; expected one of {_KINDS}")
+    k = _lookup(kind, _KINDS, "range kind")
     highs = _PROFILE_HIGHS[(g, k)]
     return RangeProfile(g, k, tuple((0.0, hi) for hi in highs))
 
@@ -91,8 +95,11 @@ def compose(generators, angles) -> np.ndarray:
 
     Angles of shape (..., n) give a (..., 4, 4) stack equal, row by row and
     bit for bit, to the product composed from each angle row alone.  A
-    non-finite angle is named as in the paper (a7..a14 for SU(3)).
+    non-finite angle is named as in the paper (a7..a14 for SU(3)), and a
+    generator index that is not an integer in 1..15 by its value.
     """
+    for g in generators:
+        _check_index(g)
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1:] != (len(generators),):
         raise ValueError(

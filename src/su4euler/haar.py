@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import _LAMBDA, _factor_stack, _factor_tables
-from .errors import _shown
+from .errors import _is_integer, _shown
 from .euler import (
     RangeProfile,
     SU3_GENERATOR_SEQUENCE,
@@ -107,12 +107,7 @@ class VolumeResult:
     standard_error: float
     method: str
     samples_or_nodes: int
-    normalization: int
-
-
-def normalization_factor(group: str) -> int:
-    """Center-element multiplicity factor: SU(2) -> 2, SU(3) -> 12, SU(4) -> 192."""
-    return _NORMALIZATION[normalize_group(group)]
+    normalization: int  # center multiplicity: SU(2) 2, SU(3) 12, SU(4) 192
 
 
 def analytic_volume(group: str) -> float:
@@ -228,11 +223,6 @@ CHUNK = 4096
 def chunk_sizes(rows: int):
     """Sizes of the consecutive chunks of at most CHUNK rows covering rows."""
     return (min(CHUNK, rows - start) for start in range(0, rows, CHUNK))
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for bool, float and the rest."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:

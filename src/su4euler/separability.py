@@ -23,15 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
-from .errors import ValidationError, _shown
+from .errors import ValidationError, _is_integer, _shown
 from .euler import range_profile
-from .haar import (
-    _advanced,
-    _is_integer,
-    _seeded_rng,
-    chunk_sizes,
-    sample_haar_angles,
-)
+from .haar import _advanced, _seeded_rng, chunk_sizes, sample_haar_angles
 
 
 class CharPolyCoeffs(NamedTuple):

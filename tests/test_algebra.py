@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from su4euler import (
-    K_INDICES,
-    P_INDICES,
     SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
-    cartan_closure_check,
-    commutator,
     exp_generator,
     gell_mann,
     gell_mann_stack,
-    generator_class,
-    pairing,
-    structure_constant,
     structure_constants,
 )
 from su4euler.algebra import _factor_stack, _factor_tables
@@ -25,6 +18,10 @@ from conftest import expm_taylor
 SQ3 = np.sqrt(3.0)
 ISQ3 = 1.0 / SQ3
 R83 = np.sqrt(8.0 / 3.0)
+
+# Euler-factorization split (0-based): K generates the U(3) subgroup.
+K = np.array([1, 2, 3, 4, 5, 6, 7, 8, 15]) - 1
+P = np.array([9, 10, 11, 12, 13, 14]) - 1
 
 # Commutator tables encoded as [lam_i, lam_j] = i * sum coeff * lam_k for
 # i < j (K sector), i < j (P sector), and (k, p) ordered pairs.  Lower
@@ -154,6 +151,12 @@ def table_matrix(entry: dict) -> np.ndarray:
     return out
 
 
+def commutators() -> np.ndarray:
+    """[lam_i, lam_j] at [i-1, j-1], by matrix products."""
+    prod = gell_mann_stack()[:, None] @ gell_mann_stack()
+    return prod - prod.transpose(1, 0, 2, 3)
+
+
 def test_gell_mann_lambda1():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = expected[1, 0] = 1.0
@@ -173,33 +176,35 @@ def test_gell_mann_hermitian_traceless():
 
 
 def test_gell_mann_index_validation():
-    with pytest.raises(ValueError):
-        gell_mann(0)
-    with pytest.raises(ValueError):
-        gell_mann(16)
+    for index in (0, 16, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="generator index"):
+            gell_mann(index)
+        with pytest.raises(ValueError, match="generator index"):
+            exp_generator(index, 0.3)
+    assert np.array_equal(gell_mann(np.int64(3)), gell_mann(3))
 
 
 def test_generator_classification():
-    diagonal = [i for i in range(1, 16) if generator_class(i).kind == "diagonal"]
-    assert diagonal == [3, 8, 15]
-    assert generator_class(10).support == (0, 3)
-    assert generator_class(6).support == (1, 2)
+    lam = gell_mann_stack()
+    off_diagonal = lam * (1 - np.eye(4))
+    assert [i + 1 for i in range(15) if not off_diagonal[i].any()] == [3, 8, 15]
+    assert np.array_equal(np.nonzero(lam[9]), [[0, 3], [3, 0]])
+    assert np.array_equal(np.nonzero(lam[5]), [[1, 2], [2, 1]])
 
 
 def test_pairing_orthonormality():
-    for i in range(1, 16):
-        for j in range(1, 16):
-            expected = 2.0 if i == j else 0.0
-            assert abs(pairing(i, j) - expected) < 1e-14
+    lam = gell_mann_stack()
+    gram = np.einsum("iab,jba->ij", lam, lam)
+    assert np.abs(gram - 2.0 * np.eye(15)).max() < 1e-14
 
 
 @pytest.mark.parametrize("table", [TABLE_KK, TABLE_PP, TABLE_KP])
 def test_commutator_tables_direct(table):
+    comm = commutators()
     for (i, j), entry in table.items():
         expected = table_matrix(entry)
-        direct = commutator(gell_mann(i), gell_mann(j))
-        assert np.abs(direct - expected).max() < 1e-13, (i, j)
-        assert np.abs(commutator(gell_mann(j), gell_mann(i)) + expected).max() < 1e-13
+        assert np.abs(comm[i - 1, j - 1] - expected).max() < 1e-13, (i, j)
+        assert np.abs(comm[j - 1, i - 1] + expected).max() < 1e-13
 
 
 @pytest.mark.parametrize("table", [TABLE_KK, TABLE_PP, TABLE_KP])
@@ -212,21 +217,11 @@ def test_commutator_tables_from_structure_constants(table):
         assert np.abs(rebuilt - table_matrix(entry)).max() < 1e-13, (i, j)
 
 
-def test_self_commutator_vanishes():
-    rng = np.random.default_rng(6)
-    for i in range(1, 16):
-        lam = gell_mann(i)
-        assert np.abs(commutator(lam, lam)).max() == 0.0
-    mixed = sum(rng.standard_normal() * gell_mann(i) for i in range(1, 16))
-    assert np.abs(commutator(mixed, mixed)).max() < 1e-14
-
-
 def test_structure_constant_examples():
-    assert abs(structure_constant(1, 2, 3) - 1.0) < 1e-14
-    assert abs(structure_constant(1, 9, 12) - 0.5) < 1e-14
-    for i in range(1, 16):
-        for k in range(1, 16):
-            assert structure_constant(i, i, k) == 0.0
+    f = structure_constants()
+    assert abs(f[0, 1, 2] - 1.0) < 1e-14
+    assert abs(f[0, 8, 11] - 0.5) < 1e-14
+    assert not f[range(15), range(15)].any()
 
 
 def test_structure_constants_antisymmetry():
@@ -240,20 +235,15 @@ def test_structure_constants_are_the_real_trace():
     generators: the imaginary residue of the rebuilt traces stays below
     1e-12, and the table holds their real parts exactly."""
     lam = gell_mann_stack()
-    f = np.array([[[np.trace(commutator(a, b) @ c) / 4j for c in lam]
+    f = np.array([[[np.trace((a @ b - b @ a) @ c) / 4j for c in lam]
                    for b in lam] for a in lam])
     assert np.abs(f.imag).max() <= 1e-12
     assert np.array_equal(structure_constants(), f.real)
 
 
 def test_reconstruction_matches_commutator_everywhere():
-    f = structure_constants()
-    lam = gell_mann_stack()
-    for i in range(1, 16):
-        for j in range(1, 16):
-            rebuilt = 2j * np.einsum("k,kab->ab", f[i - 1, j - 1], lam)
-            direct = commutator(lam[i - 1], lam[j - 1])
-            assert np.abs(rebuilt - direct).max() < 1e-13, (i, j)
+    rebuilt = 2j * np.einsum("ijk,kab->ijab", structure_constants(), gell_mann_stack())
+    assert np.abs(rebuilt - commutators()).max() < 1e-13
 
 
 def test_exp_generator_zero_angle_is_identity():
@@ -316,12 +306,12 @@ def test_factor_stack_equals_exp_generator(generators):
             assert np.array_equal(stack[k], exp_generator(g, angles[k])), (g, angles[k])
 
 
-def test_cartan_closure_report():
-    report = cartan_closure_check()
-    assert report.passed
-    assert report.kk_ok and report.pp_ok and report.kp_ok
-    assert not report.violations
-    assert all(report.pair_ok[(i, j)] for i in K_INDICES for j in K_INDICES)
+def test_cartan_closure_every_pair():
+    # [K,K] and [P,P] have no component on P, [K,P] none on K.
+    f = structure_constants()
+    assert not f[K][:, K][:, :, P].any()
+    assert not f[P][:, P][:, :, P].any()
+    assert not f[K][:, P][:, :, K].any()
 
 
 def test_cartan_closure_examples():
@@ -334,4 +324,3 @@ def test_cartan_closure_examples():
     assert on_1314 == {8, 15}
     on_810 = {k + 1 for k in np.nonzero(np.abs(f[7, 9]) > 1e-13)[0]}
     assert on_810 == {9}
-    assert set(P_INDICES) == {9, 10, 11, 12, 13, 14}

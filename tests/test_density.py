@@ -15,7 +15,6 @@ from su4euler import (
     rho_diagonal,
     rho_full,
     spectrum_diagonal,
-    spectrum_profile_check,
 )
 
 LOWER_CORNER = SPECTRUM_LOWER
@@ -119,14 +118,6 @@ def test_commuting_tail_drops_out():
         u = compose_su4(np.concatenate([alphas, tail]))
         full = u @ rho_diagonal(theta) @ u.conj().T
         assert np.abs(full - rho_full(alphas, theta)).max() <= 1e-13
-
-
-def test_spectrum_profile_check():
-    assert spectrum_profile_check(LOWER_CORNER)
-    assert spectrum_profile_check(UPPER_CORNER)
-    assert spectrum_profile_check((1.0, 1.1, 1.2))
-    assert not spectrum_profile_check((0.0, 0.0, 0.0))
-    assert not spectrum_profile_check((np.pi / 4, 0.9, np.pi / 2))
 
 
 def test_rho_full_angle_count():

@@ -5,9 +5,11 @@ import pytest
 
 from su4euler import (
     SU4_GENERATOR_SEQUENCE,
+    analytic_volume,
     compose_su2,
     compose_su3,
     compose_su4,
+    group_volume,
     haar_density,
     haar_density_su2,
     haar_density_su3,
@@ -101,6 +103,12 @@ def test_compose_su4_angle_count():
         compose_su4(np.zeros(12))
 
 
+def test_compose_names_a_generator_index_outside_1_to_15():
+    for index in (0, 16, -1):
+        with pytest.raises(ValueError, match=rf"^generator index out of range 1..15: {index}$"):
+            compose((3, index), [0.1, 0.2])
+
+
 def test_volume_profile_bounds_exact():
     p4 = range_profile("su4", "volume")
     assert p4.bounds[14][1] == np.pi / np.sqrt(6.0)
@@ -141,6 +149,10 @@ def test_profile_validation():
         range_profile("su5", "volume")
     with pytest.raises(ValueError):
         range_profile("su4", "haar")
+    for call in (lambda: range_profile(4, "volume"), lambda: range_profile("su4", None),
+                 lambda: analytic_volume(None), lambda: group_volume(None)):
+        with pytest.raises(ValueError, match="^unknown "):
+            call()
 
 
 def dense_factor_compose(generators, angles):

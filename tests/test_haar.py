@@ -21,7 +21,6 @@ from su4euler import (
     haar_density,
     haar_density_su2,
     haar_density_su3,
-    normalization_factor,
     one_form_matrix,
     one_form_matrix_su3,
     range_profile,
@@ -168,9 +167,8 @@ def test_density_depends_only_on_six_angles():
 
 
 def test_normalization_factors():
-    assert normalization_factor("su2") == 2
-    assert normalization_factor("su3") == 12
-    assert normalization_factor("su4") == 192
+    for group, factor in (("su2", 2), ("su3", 12), ("su4", 192)):
+        assert group_volume(group, "quadrature", 2).normalization == factor
 
 
 def test_quadrature_volumes():
@@ -179,7 +177,6 @@ def test_quadrature_volumes():
         target = analytic_volume(group)
         assert abs(result.estimate - target) <= tol * target
         assert result.standard_error == 0.0
-        assert result.normalization == normalization_factor(group)
 
 
 def test_quadrature_converges_by_32_nodes():
