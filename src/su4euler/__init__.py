@@ -4,7 +4,7 @@ partial-transpose separability test."""
 
 __version__ = "0.1.0"
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError
 from .algebra import (
     N_GENERATORS,
     exp_generator,

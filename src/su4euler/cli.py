@@ -6,8 +6,7 @@ Angles accept pi-literal arithmetic such as pi/4 or acos(1/sqrt(3)) so the
 tabulated interval endpoints can be entered exactly.
 
 Exit statuses: 0 success, 1 unreadable input or output file, 2 usage
-error, 3 input-validation failure, 4 internal consistency error (reserved:
-no check produces it yet).
+error, 3 input-validation failure.
 """
 
 import argparse
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .algebra import gell_mann, structure_constants
 from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
-from .errors import ConsistencyError, ValidationError, _shown
+from .errors import ValidationError, _shown
 from .euler import compose_su4
 from .haar import analytic_volume, group_volume
 from .separability import corner_scan, is_entangled, scan
@@ -116,8 +115,6 @@ def _dump(body: dict) -> str:
             return value.tolist()
         if isinstance(value, complex):
             return [value.real, value.imag]
-        if isinstance(value, (np.bool_, np.integer)):
-            return value.item()
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
     return json.dumps(body, sort_keys=True, indent=2, default=default)
@@ -414,16 +411,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"su4euler: {exc}", file=sys.stderr)
         return 3
-    except ConsistencyError as exc:
-        print(f"su4euler: internal consistency error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"su4euler: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"su4euler: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

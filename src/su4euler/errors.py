@@ -1,5 +1,5 @@
-"""Exception types shared across the package, how an input is shown in
-their messages, and the integer test the input checks share."""
+"""The exception for bad user input, how an input is shown in error
+messages, and the integer test the input checks share."""
 
 import numpy as np
 
@@ -28,11 +28,6 @@ def _shown(value) -> str:
             return f"<{type(value).__name__}>"
         head, size = head[:60], len(head)
     return head if size <= 60 else f"{head}… ({size} chars)"
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed: a bug, not bad user input.  Nothing
-    raises it yet; it is kept for a d sign the minimum eigenvalue contradicts."""
 
 
 class ValidationError(ValueError):

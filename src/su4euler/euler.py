@@ -24,6 +24,8 @@ from .errors import _shown
 SU4_GENERATOR_SEQUENCE = (3, 2, 3, 5, 3, 10, 3, 2, 3, 5, 3, 2, 3, 8, 15)
 SU3_GENERATOR_SEQUENCE = SU4_GENERATOR_SEQUENCE[6:14]  # (3, 2, 3, 5, 3, 2, 3, 8)
 SU2_GENERATOR_SEQUENCE = (3, 2, 3)
+_GENERATOR_SEQUENCES = {"su2": SU2_GENERATOR_SEQUENCE, "su3": SU3_GENERATOR_SEQUENCE,
+                        "su4": SU4_GENERATOR_SEQUENCE}
 
 # The paper's angle names where they are not a1, a2, ... by position.
 _ANGLE_NAMES = {SU2_GENERATOR_SEQUENCE: ("mu", "nu", "xi"),

@@ -29,12 +29,11 @@ from numpy.polynomial.legendre import leggauss
 from .algebra import _LAMBDA, _factor_stack, _factor_tables
 from .errors import _is_integer, _shown
 from .euler import (
+    _GENERATOR_SEQUENCES,
     RangeProfile,
     SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
-    compose_su2,
-    compose_su3,
-    compose_su4,
+    compose,
     normalize_group,
     range_profile,
 )
@@ -82,7 +81,8 @@ def _icdf_cos_sin3(u):
 
 
 # 0-based axis index within the group's angle vector -> (factor, inverse CDF).
-# All nontrivial axes run over [0, pi/2] in both range kinds.
+# The inverse CDFs are derived on [0, pi/2], which every nontrivial axis
+# spans in both range kinds (a test checks the range table).
 _DENSITY_FACTORS = {
     "su2": {1: (_f_sin2, _icdf_sin2)},
     "su3": {
@@ -115,12 +115,9 @@ def analytic_volume(group: str) -> float:
     return _ANALYTIC_VOLUME[normalize_group(group)]
 
 
-_GROUP_DIM = {"su2": 3, "su3": 8, "su4": 15}
-
-
 def _density(group: str, angles) -> np.ndarray | float:
     angles = np.asarray(angles, dtype=float)
-    dim = _GROUP_DIM[group]
+    dim = len(_GENERATOR_SEQUENCES[group])
     if angles.shape[-1:] != (dim,):
         raise ValueError(f"expected trailing dimension {dim}, got {angles.shape}")
     if not np.isfinite(angles).all():
@@ -374,11 +371,6 @@ def sample_haar_angles(rng: np.random.Generator, profile: RangeProfile,
     out = np.empty_like(u)
     for axis, (lo, hi) in enumerate(profile.bounds):
         if axis in factors:
-            # Inverse CDFs are derived on [0, pi/2]; both range kinds use it.
-            if not (lo == 0.0 and np.isclose(hi, np.pi / 2)):
-                raise ValueError(
-                    f"nontrivial axis {axis} has unexpected bounds ({lo}, {hi})"
-                )
             out[:, axis] = factors[axis][1](u[:, axis])
         else:
             out[:, axis] = lo + (hi - lo) * u[:, axis]
@@ -392,9 +384,5 @@ def sample_haar_unitary(rng: np.random.Generator,
     Haar-distributed for the covering ranges only; see sample_haar_angles
     for the volume ranges.
     """
-    angles = sample_haar_angles(rng, profile)
-    if profile.group == "su2":
-        return compose_su2(*angles)
-    if profile.group == "su3":
-        return compose_su3(angles)
-    return compose_su4(angles)
+    return compose(_GENERATOR_SEQUENCES[profile.group],
+                   sample_haar_angles(rng, profile))

@@ -4,9 +4,11 @@ For a two-qubit state the partially transposed matrix has at most one
 negative eigenvalue, so the sign of d = det(rho^pt), the product of its
 eigenvalues from the Hermitian eigensolver, decides entanglement: d < 0 iff
 entangled.  d is read against one fixed cut: entangled when d < -1e-10,
-boundary when |d| <= 1e-10, separable otherwise.  The Faddeev-LeVerrier
-coefficients feed only the quartic/resolvent-cubic eigenvalue path, the
-radical-formula route, which is validated against the eigensolver.
+boundary when |d| <= 1e-10, separable otherwise.  rho^pt transposes
+subsystem B only: rho^{T_A} = (rho^{T_B})^T has the same spectrum.  The
+Faddeev-LeVerrier coefficients feed only the quartic/resolvent-cubic
+eigenvalue path, the radical-formula route, which is validated against the
+eigensolver.
 
 classify is the one classification kernel and works on (..., 4, 4) stacks.
 It and is_entangled, its single-matrix case, validate the caller's matrices.
@@ -16,14 +18,13 @@ angles, valid by construction, and skip that check.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
-from .errors import ValidationError, _is_integer, _shown
+from .errors import ValidationError, _is_integer
 from .euler import range_profile
 from .haar import _advanced, _seeded_rng, chunk_sizes, sample_haar_angles
 
@@ -73,25 +74,19 @@ class Classification(NamedTuple):
     boundary: np.ndarray
 
 
-def partial_transpose(rho: np.ndarray, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor of a (stack of) 4x4 two-qubit operators.
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose subsystem B of a (stack of) 4x4 two-qubit operators.
 
-    Basis ordering |q_A q_B> -> 2 q_A + q_B.  Subsystem B transposes each
-    2x2 block in place, subsystem A transposes the block grid.
+    Basis ordering |q_A q_B> -> 2 q_A + q_B: each 2x2 block is transposed
+    in place.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected trailing shape (4, 4), got {rho.shape}")
-    if subsystem == "B":
-        perm = (0, 3, 2, 1)
-    elif subsystem == "A":
-        perm = (2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     lead = rho.shape[:-2]
     n = len(lead)
     blocks = rho.reshape(*lead, 2, 2, 2, 2)
-    axes = tuple(range(n)) + tuple(n + p for p in perm)
+    axes = tuple(range(n)) + tuple(n + p for p in (0, 3, 2, 1))
     return blocks.transpose(axes).reshape(*lead, 4, 4)
 
 
@@ -250,7 +245,6 @@ def _classify(rho: np.ndarray) -> Classification:
 def classify(rho: np.ndarray) -> Classification:
     """Classify (..., 4, 4) density matrices by the sign of d = det(rho^pt).
 
-    rho^pt transposes subsystem B: rho^{T_A} = (rho^{T_B})^T has the same spectrum.
     Validates every caller state, then returns columns shaped like the
     stack from one eigensolve of the partial transpose: d, the product of its
     eigenvalues, entangled when d < -1e-10 and boundary when |d| <= 1e-10,
@@ -289,24 +283,7 @@ def classify_chunks(chunks):
         start += len(a)
 
 
-def _fixed_spectrum(spectrum_policy):
-    """None for the "uniform" spectrum policy, else its three fixed angles."""
-    if isinstance(spectrum_policy, str) and spectrum_policy == "uniform":
-        return None
-    theta = (tuple(spectrum_policy) if np.iterable(spectrum_policy)
-             and not isinstance(spectrum_policy, str) else ())
-    try:
-        fixed = tuple(float(t) for t in theta
-                      if isinstance(t, numbers.Real) and not isinstance(t, bool))
-    except OverflowError:  # an int too large for a float
-        fixed = ()
-    if not (len(theta) == len(fixed) == 3 and np.isfinite(fixed).all()):
-        raise ValueError("spectrum_policy must be 'uniform' or three finite "
-                         f"angles, got {_shown(spectrum_policy)}")
-    return fixed
-
-
-def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform"):
+def scan_angles(samples: int, seed: int = 0):
     """Iterator of the (alphas, thetas) of the states scan classifies, in
     sample order, as chunks of haar.CHUNK states (the last may be shorter)
     shaped (n, 12) and (n, 3).  The arguments are checked at the call.
@@ -314,14 +291,13 @@ def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform"):
     The alphas are the first 12 of the 15 Haar angles drawn over the SU(4)
     covering ranges, so the conjugations V(alphas) are Haar on the group.
     The 15 Haar angles per state come from the seeded generator, and the
-    uniform spectrum angles from a copy of it advanced past all
-    15 * samples Haar doubles.  The chunks therefore equal one Haar draw of
-    every state followed by one spectrum draw.  See scan.
+    spectrum angles, uniform over their profile, from a copy of it advanced
+    past all 15 * samples Haar doubles.  The chunks therefore equal one Haar
+    draw of every state followed by one spectrum draw.  See scan.
     """
     if not (_is_integer(samples) and samples >= 1):
         raise ValueError(f"samples must be >= 1 and an integer, got {samples!r}")
     profile = range_profile("su4", "covering")
-    fixed_theta = _fixed_spectrum(spectrum_policy)
     rng = _seeded_rng(seed)
     spectrum = _advanced(rng, profile.dim * samples)
     lo, hi = np.array(SPECTRUM_LOWER), np.array(SPECTRUM_UPPER)
@@ -329,23 +305,18 @@ def scan_angles(samples: int, seed: int = 0, spectrum_policy="uniform"):
     def drawn():
         for n in chunk_sizes(samples):
             alphas = sample_haar_angles(rng, profile, n)[:, :12]
-            if fixed_theta is None:
-                yield alphas, lo + (hi - lo) * spectrum.random((n, 3))
-            else:
-                yield alphas, np.broadcast_to(fixed_theta, (n, 3))
+            yield alphas, lo + (hi - lo) * spectrum.random((n, 3))
 
     return drawn()
 
 
-def scan(samples: int, seed: int = 0, spectrum_policy="uniform"):
+def scan(samples: int, seed: int = 0):
     """Classify random states V rho_d V^dagger with Haar-random V.
 
     The 12 conjugation angles are a1..a12 of the Haar sampler over the SU(4)
     covering ranges, whose draws are Haar on the group (the volume ranges
-    are an integration domain, and their draws are not).  Spectrum angles
-    are uniform over their profile unless spectrum_policy is a fixed
-    (t1, t2, t3) triple of finite reals; anything but "uniform" or such a
-    triple raises ValueError.
+    are an integration domain, and their draws are not).  The spectrum
+    angles are uniform over their profile.
 
     Returns an iterator of (start, alphas, thetas, Classification), one per
     chunk of at most haar.CHUNK states in sample order (start is the sample
@@ -354,7 +325,7 @@ def scan(samples: int, seed: int = 0, spectrum_policy="uniform"):
     states come from one seeded generator: the output depends only on the
     arguments.
     """
-    return classify_chunks(scan_angles(samples, seed, spectrum_policy))
+    return classify_chunks(scan_angles(samples, seed))
 
 
 def corner_angles():

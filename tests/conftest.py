@@ -1,6 +1,7 @@
 """Shared test helpers: an independent dense matrix exponential, random
-two-qubit states drawn through the Euler parametrization, and the chunks of
-a scan joined into whole columns."""
+two-qubit states drawn through the Euler parametrization, scan's angle
+chunks with one fixed spectrum, and the chunks of a scan joined into whole
+columns."""
 
 from typing import NamedTuple
 
@@ -9,6 +10,7 @@ import pytest
 
 from su4euler import SPECTRUM_LOWER, SPECTRUM_UPPER, range_profile, rho_full
 from su4euler.haar import sample_haar_angles
+from su4euler.separability import scan_angles
 
 
 def expm_taylor(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
@@ -44,6 +46,13 @@ def random_states(seed: int, n: int):
     thetas = lo + (hi - lo) * rng.random((n, 3))
     for i in range(n):
         yield alphas[i], thetas[i], rho_full(alphas[i], thetas[i])
+
+
+def fixed_spectrum_angles(samples: int, seed: int, theta):
+    """scan_angles(samples, seed) with every state's spectrum angles set to
+    theta: (alphas, thetas) chunks of Haar conjugations of one spectrum."""
+    return ((alphas, np.broadcast_to(theta, (len(alphas), 3)))
+            for alphas, _ in scan_angles(samples, seed))
 
 
 class ScanColumns(NamedTuple):

@@ -25,9 +25,9 @@ from su4euler import (
     spectrum_diagonal,
     validate_density_matrix,
 )
-from su4euler.separability import corner_angles
+from su4euler.separability import classify_chunks, corner_angles
 
-from conftest import scan_columns
+from conftest import fixed_spectrum_angles, scan_columns
 
 
 def assert_matches_per_state(columns, rows):
@@ -142,9 +142,8 @@ def test_scan_across_chunk_boundary_equals_per_state_route():
 
 
 def test_scan_covering_and_fixed_spectrum_equal_per_state_route():
-    theta = (1.0, 1.2, 1.4)
     for chunks in (scan(100, seed=22),
-                   scan(100, seed=23, spectrum_policy=theta)):
+                   classify_chunks(fixed_spectrum_angles(100, 23, (1.0, 1.2, 1.4)))):
         assert_matches_per_state(scan_columns(chunks), range(100))
 
 

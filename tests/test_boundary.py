@@ -21,6 +21,8 @@ from su4euler import (
 )
 from su4euler.separability import classify_chunks, corner_angles, scan_angles
 
+from conftest import fixed_spectrum_angles
+
 SPECTRUM_EDGES = list(itertools.product(*zip(SPECTRUM_LOWER, SPECTRUM_UPPER)))
 
 
@@ -75,4 +77,4 @@ def test_haar_states_pass_validation():
 
 @pytest.mark.parametrize("theta", SPECTRUM_EDGES + [(1.0, 1.1, 1.2)])
 def test_fixed_spectrum_states_pass_validation(theta):
-    assert_valid(scan_angles(500, seed=12, spectrum_policy=theta))
+    assert_valid(fixed_spectrum_angles(500, 12, theta))

@@ -13,6 +13,7 @@ from su4euler import (
     SU4_GENERATOR_SEQUENCE,
     analytic_volume,
     compose,
+    compose_su2,
     compose_su3,
     compose_su4,
     exp_generator,
@@ -27,6 +28,7 @@ from su4euler import (
     sample_haar_angles,
     sample_haar_unitary,
 )
+from su4euler.haar import _DENSITY_FACTORS
 
 # One-sample KS critical coefficient at the 1% level.
 KS_C01 = 1.628
@@ -280,6 +282,15 @@ def test_sample_haar_angles_within_bounds():
         assert (draws <= highs).all()
 
 
+@pytest.mark.parametrize("kind", ["volume", "covering"])
+@pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+def test_inverse_cdf_axes_span_zero_to_half_pi(group, kind):
+    # The inverse CDFs are derived on [0, pi/2], and sample_haar_angles
+    # applies them to every nontrivial axis of either range kind unchecked.
+    bounds = range_profile(group, kind).bounds
+    assert all(bounds[axis] == (0.0, np.pi / 2) for axis in _DENSITY_FACTORS[group])
+
+
 def test_alpha2_marginal_matches_analytic_cdf():
     profile = range_profile("su4", "volume")
     n = 100_000
@@ -304,11 +315,18 @@ def test_alpha1_marginal_uniform():
     assert stat < KS_C01 / np.sqrt(n)
 
 
-def test_sample_haar_unitary_deterministic_and_special_unitary():
-    profile = range_profile("su4", "covering")
+@pytest.mark.parametrize("group,compose_group", [
+    ("su2", lambda angles: compose_su2(*angles)),
+    ("su3", compose_su3),
+    ("su4", compose_su4),
+], ids=["su2", "su3", "su4"])
+def test_sample_haar_unitary_deterministic_and_special_unitary(group, compose_group):
+    profile = range_profile(group, "covering")
     u1 = sample_haar_unitary(np.random.default_rng(9), profile)
     u2 = sample_haar_unitary(np.random.default_rng(9), profile)
     assert np.array_equal(u1, u2)
+    angles = sample_haar_angles(np.random.default_rng(9), profile)
+    assert np.array_equal(u1, compose_group(angles))
     rng = np.random.default_rng(10)
     for _ in range(200):
         u = sample_haar_unitary(rng, profile)

@@ -6,6 +6,7 @@ from numpy.polynomial import Polynomial
 
 from su4euler import (
     CharPolyCoeffs,
+    DepressedQuartic,
     ValidationError,
     char_poly_coeffs,
     classify,
@@ -24,7 +25,7 @@ from su4euler import (
 from su4euler.errors import _shown
 from su4euler.separability import classify_chunks, corner_angles, scan_angles
 
-from conftest import random_states, same_columns, scan_columns
+from conftest import fixed_spectrum_angles, random_states, same_columns, scan_columns
 
 
 def random_density_matrix(rng):
@@ -35,10 +36,16 @@ def random_density_matrix(rng):
 
 # ---------------------------------------------------------------- transpose
 
+def transpose_a(rho):
+    """rho^{T_A} = (rho^{T_B})^T; test_partial_transpose_explicit_layout
+    pins it against the explicit block layout."""
+    return partial_transpose(rho).swapaxes(-1, -2)
+
+
 def test_partial_transpose_diagonal_fixed_point():
     d = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert np.array_equal(partial_transpose(d, "A"), d)
-    assert np.array_equal(partial_transpose(d, "B"), d)
+    assert np.array_equal(transpose_a(d), d)
+    assert np.array_equal(partial_transpose(d), d)
 
 
 def test_partial_transpose_bell_eigenvalues(bell_projector):
@@ -49,18 +56,19 @@ def test_partial_transpose_bell_eigenvalues(bell_projector):
 def test_partial_transpose_involution():
     rng = np.random.default_rng(0)
     rho = random_density_matrix(rng)
-    assert np.abs(partial_transpose(partial_transpose(rho, "A"), "A") - rho).max() < 1e-16
-    both = partial_transpose(partial_transpose(rho, "A"), "B")
+    assert np.abs(partial_transpose(partial_transpose(rho)) - rho).max() < 1e-16
+    assert np.abs(transpose_a(transpose_a(rho)) - rho).max() < 1e-16
+    both = partial_transpose(transpose_a(rho))
     assert np.abs(both - rho.T).max() < 1e-16
 
 
 def test_partial_transpose_explicit_layout():
     m = np.arange(16, dtype=complex).reshape(4, 4)
-    ptb = partial_transpose(m, "B")
+    ptb = partial_transpose(m)
     expected_b = np.array([[0, 4, 2, 6], [1, 5, 3, 7],
                            [8, 12, 10, 14], [9, 13, 11, 15]])
     assert np.array_equal(ptb, expected_b)
-    pta = partial_transpose(m, "A")
+    pta = transpose_a(m)
     expected_a = np.array([[0, 1, 8, 9], [4, 5, 12, 13],
                            [2, 3, 10, 11], [6, 7, 14, 15]])
     assert np.array_equal(pta, expected_a)
@@ -74,13 +82,13 @@ def test_partial_transpose_spectra_coincide_between_subsystems():
     rng = np.random.default_rng(1)
     for _ in range(50):
         rho = random_density_matrix(rng)
-        ea = np.linalg.eigvalsh(partial_transpose(rho, "A"))
-        eb = np.linalg.eigvalsh(partial_transpose(rho, "B"))
+        ea = np.linalg.eigvalsh(transpose_a(rho))
+        eb = np.linalg.eigvalsh(partial_transpose(rho))
         assert np.abs(ea - eb).max() < 1e-12
     entangled = 0
     for alphas, thetas in [next(scan_angles(4096)), *corner_angles()]:
         rho = rho_full(alphas, thetas)
-        pta, ptb = partial_transpose(rho, "A"), partial_transpose(rho, "B")
+        pta, ptb = transpose_a(rho), partial_transpose(rho)
         da, db = char_poly_coeffs(pta).d, char_poly_coeffs(ptb).d
         assert np.array_equal(da < -1e-10, db < -1e-10)
         assert np.array_equal(abs(da) <= 1e-10, abs(db) <= 1e-10)
@@ -89,11 +97,6 @@ def test_partial_transpose_spectra_coincide_between_subsystems():
         assert np.abs(la - lb).max() <= 1e-14
         entangled += np.count_nonzero(db < -1e-10)
     assert entangled > 0
-
-
-def test_partial_transpose_rejects_bad_subsystem():
-    with pytest.raises(ValueError):
-        partial_transpose(np.eye(4), "C")
 
 
 # ------------------------------------------------------- char poly / shift
@@ -236,6 +239,16 @@ def test_resolvent_product_identity():
 def test_eigenvalues_via_resolvent_flat_spectrum():
     eigs = eigenvalues_via_resolvent((0.0, 0.0, 0.0))
     assert np.abs(eigs - 0.25).max() < 1e-12
+
+
+@pytest.mark.parametrize("dq", [
+    # t^4 + 1: resolvent g^3 - 4g has the negative root -2.
+    DepressedQuartic(0.0, 0.0, 1.0),
+    DepressedQuartic(np.nan, 0.0, 0.0),
+], ids=["negative-root", "nan"])
+def test_eigenvalues_via_resolvent_invalid_branch_is_none(dq):
+    assert not resolvent_roots(dq).branch_valid
+    assert eigenvalues_via_resolvent(dq) is None
 
 
 def test_eigenvalues_via_resolvent_bell(bell_projector):
@@ -411,9 +424,9 @@ def test_scan_negative_count_bounded():
     assert set(scan_columns(scan(300, seed=12)).neg_count.tolist()) <= {0, 1}
 
 
-def test_scan_fixed_spectrum_policy():
+def test_fixed_maximally_mixed_spectrum_is_separable():
     theta = (np.pi / 4, np.arccos(1 / np.sqrt(3)), np.pi / 3)
-    columns = scan_columns(scan(20, seed=13, spectrum_policy=theta))
+    columns = scan_columns(classify_chunks(fixed_spectrum_angles(20, 13, theta)))
     assert (columns.thetas == theta).all()
     # Maximally mixed is unitarily invariant: always separable.
     assert not columns.entangled.any()
@@ -437,8 +450,8 @@ def test_scan_states_average_to_maximally_mixed():
     # entry.  Conjugations drawn over the volume ranges miss it by up to
     # 0.044 off the diagonal, ~78 standard errors at this size.
     n = 20_000
-    rho = np.concatenate([rho_full(a, t) for _, a, t, _ in
-                          scan(n, seed=5, spectrum_policy=(1.0, 1.2, 1.4))])
+    rho = np.concatenate([rho_full(a, t) for a, t in
+                          fixed_spectrum_angles(n, 5, (1.0, 1.2, 1.4))])
     mean = rho.mean(axis=0)
     standard_error = np.sqrt(np.mean(abs(rho - mean) ** 2, axis=0) / n)
     assert (abs(mean - np.eye(4) / 4.0) <= 5.0 * standard_error).all()
@@ -448,47 +461,39 @@ def test_scan_validation():
     # Every argument is checked at the call, before a chunk is requested.
     with pytest.raises(ValueError):
         scan(0)
-    with pytest.raises(ValueError):
-        scan(10, spectrum_policy=(1.0, 2.0))
     with pytest.raises(ValueError, match="seed"):
         scan(10, seed=-1)
+    # Deleted arguments raise TypeError rather than being ignored.
     with pytest.raises(TypeError, match="angle_profile"):
         scan(10, angle_profile="covering")
     with pytest.raises(TypeError, match="workers"):
         scan(10, workers=2)
+    with pytest.raises(TypeError, match="spectrum_policy"):
+        scan(10, spectrum_policy=(1.0, 1.2, 1.4))
+    with pytest.raises(TypeError, match="positional"):
+        partial_transpose(np.eye(4), "A")
 
 
-@pytest.mark.parametrize("call,name", [
-    (lambda: scan_angles(0), "samples"),
-    (lambda: scan_angles(10, seed=-1), "seed"),
-    (lambda: scan_angles(10, seed="x" * 300), "seed"),
-    (lambda: scan(10, seed=""), "seed.* got ''$"),
-    # A range name where the spectrum policy goes, as the third positional
-    # argument once named the angle ranges.
-    (lambda: scan(10, 1, "covering"), "spectrum_policy"),
-    (lambda: scan_angles(10, spectrum_policy=(1.0, np.nan, 1.0)), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy="123"), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy="Uniform"), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy=None), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy=5), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy=("1", "2", "3")), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy=(10**400, 1, 1)), "spectrum_policy"),
-    (lambda: scan_angles(2, spectrum_policy=list(range(5000))), "spectrum_policy"),
-], ids=["samples", "seed", "seed-long-string", "seed-empty-string", "profile",
-        "spectrum", "spectrum-digits", "spectrum-case", "spectrum-none",
-        "spectrum-scalar", "spectrum-strings", "spectrum-huge-int",
-        "spectrum-long-list"])
-def test_scan_parts_check_arguments_at_the_call(call, name):
-    with pytest.raises(ValueError, match=name) as raised:
+@pytest.mark.parametrize("call,error,name", [
+    (lambda: scan_angles(0), ValueError, "samples"),
+    (lambda: scan_angles(10, seed=-1), ValueError, "seed"),
+    (lambda: scan_angles(10, seed="x" * 300), ValueError, "seed"),
+    (lambda: scan(10, seed=""), ValueError, "seed.* got ''$"),
+    # A range name as the third positional argument, which once named the
+    # angle ranges: scan takes two, so the call itself is refused.
+    (lambda: scan(10, 1, "covering"), TypeError, "positional"),
+], ids=["samples", "seed", "seed-long-string", "seed-empty-string", "profile"])
+def test_scan_parts_check_arguments_at_the_call(call, error, name):
+    with pytest.raises(error, match=name) as raised:
         call()
     # The rejected value is echoed cut short, not whole.
     assert len(str(raised.value)) < 200
 
 
-def test_spectrum_policy_past_the_int_digit_limit_is_named():
+def test_seed_past_the_int_digit_limit_is_named():
     # repr refuses an int of more than 4300 digits by default.
-    with pytest.raises(ValueError, match="spectrum_policy") as raised:
-        scan_angles(2, spectrum_policy=(10**5000, 1, 1))
+    with pytest.raises(ValueError, match="seed") as raised:
+        scan_angles(2, seed=-10**5000)
     assert len(str(raised.value)) <= 80
     assert _shown(10**5000) == "<int of 16610 bits>"
 
