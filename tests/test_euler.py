@@ -118,6 +118,10 @@ def test_volume_profile_bounds_exact():
     p3 = range_profile("su3", "volume")
     assert p3.bounds[7][1] == np.pi / np.sqrt(3.0)
     assert p3.dim == 8
+    pi, half = np.pi, np.pi / 2
+    assert p3.bounds == tuple((0.0, hi) for hi in (
+        pi, half, pi, half, pi, half, pi, pi / np.sqrt(3.0)))
+    assert range_profile("su2", "volume").bounds == ((0.0, pi), (0.0, half), (0.0, pi))
 
 
 def test_covering_profile_bounds_exact():
@@ -127,6 +131,10 @@ def test_covering_profile_bounds_exact():
     assert p4.bounds[2] == (0.0, 2.0 * np.pi)
     p2 = range_profile("su2", "covering")
     assert p2.bounds[2] == (0.0, 2.0 * np.pi)
+    pi, half = np.pi, np.pi / 2
+    assert p2.bounds == ((0.0, pi), (0.0, half), (0.0, 2 * pi))
+    assert range_profile("su3", "covering").bounds == tuple((0.0, hi) for hi in (
+        pi, half, 2 * pi, half, pi, half, 2 * pi, np.sqrt(3.0) * pi))
 
 
 def test_covering_to_volume_length_ratios():

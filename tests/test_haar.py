@@ -28,7 +28,7 @@ from su4euler import (
     sample_haar_angles,
     sample_haar_unitary,
 )
-from su4euler.haar import _DENSITY_FACTORS
+from su4euler.haar import _DENSITY_FACTORS, _f_cos_sin3, _f_sin2
 
 # One-sample KS critical coefficient at the 1% level.
 KS_C01 = 1.628
@@ -289,6 +289,13 @@ def test_inverse_cdf_axes_span_zero_to_half_pi(group, kind):
     # applies them to every nontrivial axis of either range kind unchecked.
     bounds = range_profile(group, kind).bounds
     assert all(bounds[axis] == (0.0, np.pi / 2) for axis in _DENSITY_FACTORS[group])
+
+
+def test_subgroup_density_factors():
+    # SU(3)'s a8, a10, a12 and SU(2)'s nu, by position in each group's angles.
+    assert {axis: f for axis, (f, _) in _DENSITY_FACTORS["su3"].items()} == {
+        1: _f_sin2, 3: _f_cos_sin3, 5: _f_sin2}
+    assert {axis: f for axis, (f, _) in _DENSITY_FACTORS["su2"].items()} == {1: _f_sin2}
 
 
 def test_alpha2_marginal_matches_analytic_cdf():
