@@ -41,7 +41,7 @@ _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.
 
 
 def _eval_expr(node, text):
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not bool
         return float(node.value)
     if isinstance(node, ast.Name) and node.id in _ALLOWED_NAMES:
         return _ALLOWED_NAMES[node.id]

@@ -50,6 +50,8 @@ def _sin_squared(theta) -> np.ndarray:
     ValueError naming the first state with a non-finite angle.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (3,):
+        raise ValueError(f"expected 3 spectrum angles, got shape {theta.shape}")
     if not np.isfinite(theta).all():
         rows = theta.reshape(-1, 3)
         bad = rows[~np.isfinite(rows).all(axis=1)][0]
@@ -71,8 +73,11 @@ def rho_diagonal(theta) -> np.ndarray:
 
 
 def bloch_coefficients(theta) -> BlochCoefficients:
-    """Closed-form expansion coefficients of rho_d over {I, l3, l8, l15}."""
-    [(w2, x2, y2)] = _sin_squared(theta).reshape(-1, 3).tolist()
+    """Closed-form expansion coefficients of one rho_d over {I, l3, l8, l15}."""
+    squares = _sin_squared(theta)
+    if squares.size != 3:
+        raise ValueError(f"bloch_coefficients takes one state, got shape {squares.shape}")
+    w2, x2, y2 = squares.ravel().tolist()
     return BlochCoefficients(
         w0=0.25,
         w3=0.5 * (-1.0 + 2.0 * w2) * x2 * y2,

@@ -6,10 +6,11 @@ The SU(4) element is the ordered 15-factor product
         e^{i l10 a6} e^{i l3 a7} e^{i l2 a8} e^{i l3 a9} e^{i l5 a10}
         e^{i l3 a11} e^{i l2 a12} e^{i l3 a13} e^{i l8 a14} e^{i l15 a15}
 
-with SU(3) the middle eight factors and SU(2) the l3/l2/l3 triple.  SU(2)
-and SU(3) elements are returned embedded in the top-left block of a 4x4
-identity.  A product starts from the identity, and each factor updates in
-place only the columns it touches.  Angles are radians and unrestricted
+with SU(3) its a7..a14 factors and SU(2) its a1..a3 factors: each takes the
+SU(4) chain's ranges (and, in haar, its Haar factors) at those positions.
+SU(2) and SU(3) elements are returned embedded in the top-left block of a
+4x4 identity.  A product starts from the identity, and each factor updates
+in place only the columns it touches.  Angles are radians and unrestricted
 (the group is periodic); the range profiles are for integration and
 sampling only.
 """
@@ -22,36 +23,27 @@ from .algebra import _check_index, _right_multiply
 from .errors import _shown
 
 SU4_GENERATOR_SEQUENCE = (3, 2, 3, 5, 3, 10, 3, 2, 3, 5, 3, 2, 3, 8, 15)
-SU3_GENERATOR_SEQUENCE = SU4_GENERATOR_SEQUENCE[6:14]  # (3, 2, 3, 5, 3, 2, 3, 8)
-SU2_GENERATOR_SEQUENCE = (3, 2, 3)
-_GENERATOR_SEQUENCES = {"su2": SU2_GENERATOR_SEQUENCE, "su3": SU3_GENERATOR_SEQUENCE,
-                        "su4": SU4_GENERATOR_SEQUENCE}
+
+# Each group's factors within the SU(4) chain.
+_CHAINS = {"su2": slice(0, 3), "su3": slice(6, 14), "su4": slice(0, 15)}
+_GENERATOR_SEQUENCES = {g: SU4_GENERATOR_SEQUENCE[c] for g, c in _CHAINS.items()}
+SU3_GENERATOR_SEQUENCE = _GENERATOR_SEQUENCES["su3"]  # (3, 2, 3, 5, 3, 2, 3, 8)
+SU2_GENERATOR_SEQUENCE = _GENERATOR_SEQUENCES["su2"]  # (3, 2, 3)
 
 # The paper's angle names where they are not a1, a2, ... by position.
 _ANGLE_NAMES = {SU2_GENERATOR_SEQUENCE: ("mu", "nu", "xi"),
                 SU3_GENERATOR_SEQUENCE: [f"a{k}" for k in range(7, 15)]}
 
-_GROUPS = ("su2", "su3", "su4")
-_KINDS = ("volume", "covering")
-
 _PI = np.pi
 _HALF_PI = np.pi / 2.0
 
-# Upper bounds per angle; all lower bounds are 0.
+# Upper bounds per SU(4) angle; all lower bounds are 0.
 _PROFILE_HIGHS = {
-    ("su2", "volume"): (_PI, _HALF_PI, _PI),
-    ("su2", "covering"): (_PI, _HALF_PI, 2 * _PI),
-    ("su3", "volume"): (_PI, _HALF_PI, _PI, _HALF_PI, _PI, _HALF_PI, _PI,
-                        _PI / np.sqrt(3.0)),
-    ("su3", "covering"): (_PI, _HALF_PI, 2 * _PI, _HALF_PI, _PI, _HALF_PI,
-                          2 * _PI, np.sqrt(3.0) * _PI),
-    ("su4", "volume"): (_PI, _HALF_PI, _PI, _HALF_PI, _PI, _HALF_PI, _PI,
-                        _HALF_PI, _PI, _HALF_PI, _PI, _HALF_PI, _PI,
-                        _PI / np.sqrt(3.0), _PI / np.sqrt(6.0)),
-    ("su4", "covering"): (_PI, _HALF_PI, 2 * _PI, _HALF_PI, 2 * _PI, _HALF_PI,
-                          _PI, _HALF_PI, 2 * _PI, _HALF_PI, _PI, _HALF_PI,
-                          2 * _PI, np.sqrt(3.0) * _PI,
-                          2 * np.sqrt(2.0 / 3.0) * _PI),
+    "volume": (_PI, _HALF_PI, _PI, _HALF_PI, _PI, _HALF_PI, _PI, _HALF_PI, _PI,
+               _HALF_PI, _PI, _HALF_PI, _PI, _PI / np.sqrt(3.0), _PI / np.sqrt(6.0)),
+    "covering": (_PI, _HALF_PI, 2 * _PI, _HALF_PI, 2 * _PI, _HALF_PI, _PI,
+                 _HALF_PI, 2 * _PI, _HALF_PI, _PI, _HALF_PI, 2 * _PI,
+                 np.sqrt(3.0) * _PI, 2 * np.sqrt(2.0 / 3.0) * _PI),
 }
 
 
@@ -80,15 +72,15 @@ def _lookup(name: str, allowed: tuple, what: str) -> str:
 
 
 def normalize_group(group: str) -> str:
-    return _lookup(group, _GROUPS, "group")
+    return _lookup(group, tuple(_CHAINS), "group")
 
 
 def range_profile(group: str, kind: str) -> RangeProfile:
     """The volume ranges (integrate to the group volume after normalization)
     or the covering ranges (parametrize every group element)."""
     g = normalize_group(group)
-    k = _lookup(kind, _KINDS, "range kind")
-    highs = _PROFILE_HIGHS[(g, k)]
+    k = _lookup(kind, tuple(_PROFILE_HIGHS), "range kind")
+    highs = _PROFILE_HIGHS[k][_CHAINS[g]]
     return RangeProfile(g, k, tuple((0.0, hi) for hi in highs))
 
 

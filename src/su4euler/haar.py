@@ -1,5 +1,7 @@
 """Haar measure on SU(4) in Euler angles: one-form coefficients, the
-closed-form density, group volumes, and Haar sampling.
+closed-form density, group volumes, and Haar sampling.  SU(2) and SU(3) are
+the a1..a3 and a7..a14 factors of the SU(4) chain, with its ranges and Haar
+factors at those positions.
 
 The density with respect to da1..da15 factorizes into one-dimensional
 trigonometric factors in six of the fifteen angles, which makes volume
@@ -29,9 +31,9 @@ from numpy.polynomial.legendre import leggauss
 from .algebra import _LAMBDA, _factor_stack, _factor_tables
 from .errors import _is_integer, _shown
 from .euler import (
+    _CHAINS,
     _GENERATOR_SEQUENCES,
     RangeProfile,
-    SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
     compose,
     normalize_group,
@@ -80,25 +82,15 @@ def _icdf_cos_sin3(u):
     return np.arcsin(u**0.25)
 
 
-# 0-based axis index within the group's angle vector -> (factor, inverse CDF).
-# The inverse CDFs are derived on [0, pi/2], which every nontrivial axis
-# spans in both range kinds (a test checks the range table).
-_DENSITY_FACTORS = {
-    "su2": {1: (_f_sin2, _icdf_sin2)},
-    "su3": {
-        1: (_f_sin2, _icdf_sin2),
-        3: (_f_cos_sin3, _icdf_cos_sin3),
-        5: (_f_sin2, _icdf_sin2),
-    },
-    "su4": {
-        1: (_f_sin2, _icdf_sin2),
-        3: (_f_cos3_sin, _icdf_cos3_sin),
-        5: (_f_cos_sin5, _icdf_cos_sin5),
-        7: (_f_sin2, _icdf_sin2),
-        9: (_f_cos_sin3, _icdf_cos_sin3),
-        11: (_f_sin2, _icdf_sin2),
-    },
-}
+# 0-based SU(4) axis -> (factor, inverse CDF); SU(2) and SU(3) take the
+# factors at their SU(4) positions.  The inverse CDFs are derived on [0, pi/2],
+# which every nontrivial axis spans in both range kinds (a test checks this).
+_SU4_FACTORS = {1: (_f_sin2, _icdf_sin2), 3: (_f_cos3_sin, _icdf_cos3_sin),
+                5: (_f_cos_sin5, _icdf_cos_sin5), 7: (_f_sin2, _icdf_sin2),
+                9: (_f_cos_sin3, _icdf_cos_sin3), 11: (_f_sin2, _icdf_sin2)}
+_DENSITY_FACTORS = {group: {axis - chain.start: _SU4_FACTORS[axis]
+                            for axis in range(15)[chain] if axis in _SU4_FACTORS}
+                    for group, chain in _CHAINS.items()}
 
 
 @dataclass(frozen=True)
@@ -149,51 +141,51 @@ def haar_density_su2(angles) -> np.ndarray | float:
     return _density("su2", angles)
 
 
-# Per chain: factor-stack tables of F_2..F_n (F_1 enters no one-form), lam_g(k)
-# stacked, and a (32, n) basis table: column j is lam_{j+1} / 2 as (re, im) pairs.
-_CHAIN_TABLES = {seq: (_factor_tables(seq[1:]), _LAMBDA[np.subtract(seq, 1)],
-                       0.5 * _LAMBDA[:len(seq)].reshape(len(seq), 16).view(float).T)
-                 for seq in (SU4_GENERATOR_SEQUENCE, SU3_GENERATOR_SEQUENCE)}
+# Tables of the SU(4) chain: the factor-stack tables of F_2..F_15 (F_1 enters
+# no one-form), lam_g(k) stacked, and a (32, 15) basis table: column j is
+# lam_{j+1} / 2 as (re, im) pairs.
+_FACTORS = _factor_tables(SU4_GENERATOR_SEQUENCE[1:])
+_LAMBDA_G = _LAMBDA[np.subtract(SU4_GENERATOR_SEQUENCE, 1)]
+_BASIS = 0.5 * _LAMBDA[:15].reshape(15, 16).view(float).T
 _EYE = np.eye(4, dtype=complex)[None]
 
 
-def _one_form_coefficients(generators, angles) -> np.ndarray:
-    """Coefficients c_kj of the invariant one-forms of the chain
-    U = F_1 ... F_n, F_k = exp(i a_k lam_{g(k)}), over lam_1..lam_n.
+def one_form_matrix(angles) -> np.ndarray:
+    """15x15 coefficient matrix c_kj for SU(4); |det| is the Haar density.
 
-    With the suffix products S_k = F_{k+1} ... F_n (S_n = I),
+    c_kj are the coefficients of the invariant one-forms of the chain
+    U = F_1 ... F_15, F_k = exp(i a_k lam_{g(k)}), over lam_1..lam_15.  With
+    the suffix products S_k = F_{k+1} ... F_15 (S_15 = I),
         U^dagger dU/da_k = S_k^dagger (i lam_{g(k)}) S_k = i sum_j c_kj lam_j,
     so c_kj = Tr[lam_j X_k] / 2 with X_k = S_k^dagger lam_{g(k)} S_k, real up
     to rounding since X_k is Hermitian; the real part is kept.  No loop runs
-    over the factors: a doubling scan turns the closed-form stack F_2..F_n, I
-    into S_1..S_n (after the round of step h, entry k is the product of the
+    over the factors: a doubling scan turns the closed-form stack F_2..F_15, I
+    into S_1..S_15 (after the round of step h, entry k is the product of the
     2h entries from k on), X is one stacked product, and the traces are one
     real matrix product with the basis table.
     """
     angles = np.asarray(angles, dtype=float)
-    n = len(generators)
-    if angles.shape != (n,):
-        raise ValueError(f"expected {n} angles, got shape {angles.shape}")
+    if angles.shape != (15,):
+        raise ValueError(f"expected 15 angles, got shape {angles.shape}")
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
-    factors, lam_g, basis = _CHAIN_TABLES[generators]
-    s = np.concatenate((_factor_stack(factors, angles[1:]), _EYE))
+    s = np.concatenate((_factor_stack(_FACTORS, angles[1:]), _EYE))
     step = 1
-    while step < n - 1:
-        s[:n - step] = s[:n - step] @ s[step:]
+    while step < 14:
+        s[:15 - step] = s[:15 - step] @ s[step:]
         step *= 2
-    x = s.conj().transpose(0, 2, 1) @ lam_g @ s
-    return x.reshape(n, 16).view(float) @ basis
-
-
-def one_form_matrix(angles) -> np.ndarray:
-    """15x15 coefficient matrix c_kj for SU(4); |det| is the Haar density."""
-    return _one_form_coefficients(SU4_GENERATOR_SEQUENCE, angles)
+    x = s.conj().transpose(0, 2, 1) @ _LAMBDA_G @ s
+    return x.reshape(15, 16).view(float) @ _BASIS
 
 
 def one_form_matrix_su3(angles) -> np.ndarray:
-    """8x8 coefficient matrix for the SU(3) chain a7..a14 over lam_1..lam_8."""
-    return _one_form_coefficients(SU3_GENERATOR_SEQUENCE, angles)
+    """8x8 coefficient matrix for the SU(3) chain a7..a14 over lam_1..lam_8:
+    one_form_matrix's a7..a14 rows and lam_1..lam_8 columns at a1..a6 = a15
+    = 0, where those factors are the identity."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape != (8,):
+        raise ValueError(f"expected 8 angles, got shape {angles.shape}")
+    return one_form_matrix(np.concatenate((np.zeros(6), angles, [0.0])))[6:14, :8]
 
 
 def _quadrature_volume(group: str, nodes: int) -> float:

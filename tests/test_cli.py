@@ -601,6 +601,10 @@ def test_angle_expression_unsupported_error_not_wrapped():
     with pytest.raises(ValueError, match=r"^unsupported angle expression: "
                                          r"'foo\(x{56}'… \(5000 chars\)$"):
         parse_angle("foo(" + "x" * 4995 + ")")
+    # bool is an int subclass, but True is not an angle.
+    for text, shown in (("True", "'True'"), ("False*pi", r"'False\*pi'")):
+        with pytest.raises(ValueError, match=rf"^unsupported angle expression: {shown}$"):
+            parse_angle(text)
 
 
 def test_angle_expression_rejects_calls():

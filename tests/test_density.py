@@ -144,8 +144,21 @@ def test_nonfinite_spectrum_angle_rejected_without_warning(bad):
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
 def test_bloch_coefficients_reject_stacked_angles(shape):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            f"bloch_coefficients takes one state, got shape {shape}")):
         bloch_coefficients(np.full(shape, 1.2))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("build", [
+    lambda theta: rho_full(np.zeros(12), theta),
+    spectrum_diagonal, rho_diagonal, bloch_coefficients,
+], ids=["rho_full", "spectrum_diagonal", "rho_diagonal", "bloch_coefficients"])
+def test_wrong_spectrum_angle_count_is_named(build, count):
+    theta = [1.0 + 0.1 * k for k in range(count)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected 3 spectrum angles, got shape ({count},)")):
+        build(theta)
 
 
 def test_bloch_coefficients_keep_python_float_rounding():
