@@ -11,6 +11,8 @@ error, 3 input-validation failure.
 
 import argparse
 import ast
+import contextlib
+import functools
 import json
 import math
 import operator
@@ -21,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, haar
 from .algebra import gell_mann, structure_constants
 from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
 from .errors import ValidationError, _shown
@@ -79,7 +81,13 @@ def parse_angle(text: str) -> float:
 
 
 def parse_angle_list(text: str, allowed_counts) -> list:
-    values = [parse_angle(part) for part in text.split(",") if part.strip()]
+    """The comma-separated angles of text; an empty entry, such as that of
+    ",," or a trailing comma, is an error naming its position."""
+    parts = text.split(",")
+    for position, part in enumerate(parts, 1):
+        if not part.strip():
+            raise ValueError(f"angle {position} of {len(parts)} is empty")
+    values = [parse_angle(part) for part in parts]
     if len(values) not in allowed_counts:
         raise ValueError(
             f"expected {' or '.join(map(str, allowed_counts))} angles, got {len(values)}"
@@ -180,9 +188,13 @@ def cmd_volume(args) -> int:
         result = group_volume(args.group, "quadrature", config["resolution"])
     else:
         text = "100000" if args.samples is None else args.samples
-        samples = float(text)
+        try:
+            samples = float(text)
+        except ValueError:
+            raise ValueError("Monte Carlo sample count must be a number such as 1e6, "
+                             f"got {_shown(text)}") from None
         if not math.isfinite(samples):
-            raise ValueError(f"Monte Carlo sample count must be finite, got {text!r}")
+            raise ValueError(f"Monte Carlo sample count must be finite, got {_shown(text)}")
         # group_volume rejects a count with a fractional part, such as 2500.5.
         config["resolution"] = int(samples) if samples.is_integer() else samples
         config["seed"] = 0 if args.seed is None else args.seed
@@ -262,32 +274,46 @@ def _float_texts(column: np.ndarray):
     return texts[inverse].tolist()
 
 
-def _scan_pieces(fmt: str, config: dict, chunks):
-    """Scan output text: one piece per classified chunk, then the tail.
+def _chunk_text(fmt: str, chunk) -> tuple:
+    """(text, (total, entangled, boundary)) of one classified chunk: its
+    records joined by the format's separator, and its three tallies.
+    Numbers print as repr() of Python floats."""
+    start, alphas, thetas, c = chunk
+    if fmt == "csv":
+        order, row, sep = range(len(_SCAN_HEADER)), ",".join, "\n"
+    else:
+        order, row, sep = _JSON_ORDER, _JSON_RECORD.__mod__, ",\n"
+    floats = np.column_stack((alphas, thetas, c.d, c.min_eig)).T
+    columns = ([map(str, range(start, start + len(alphas)))]
+               + [_float_texts(col) for col in floats]
+               + [map(str, c.neg_count.tolist()),
+                  np.where(c.entangled, "entangled", "separable").tolist(),
+                  np.where(c.boundary, "1", "0").tolist()])
+    text = sep.join(map(row, zip(*(columns[i] for i in order))))
+    return text, (len(alphas), np.count_nonzero(c.entangled),
+                  np.count_nonzero(c.boundary))
 
-    Numbers print as repr() of Python floats.  The JSON bytes equal
-    json.dumps(sort_keys=True, indent=2) of the whole document.
+
+def _scan_pieces(fmt: str, config: dict, texts):
+    """Scan output text: the head, then each chunk's text from _chunk_text
+    in sample order, then the tail with the summary of their tallies.
+
+    The JSON bytes equal json.dumps(sort_keys=True, indent=2) of the whole
+    document.
     """
     if fmt == "csv":
         head, sep = ",".join(_SCAN_HEADER) + "\n", "\n"
-        order, row = range(len(_SCAN_HEADER)), ",".join
     else:
         # The head and the tail are dumped as documents of their own, less
         # the closing "\n}" and the opening "{\n" that join them.
         head = _dump({"command": "scan", "config": config})[:-2]
         head, sep = head + ',\n  "records": [\n', ",\n"
-        order, row = _JSON_ORDER, _JSON_RECORD.__mod__
     tally = np.zeros(3, dtype=int)  # total, entangled, boundary
-    for start, alphas, thetas, c in chunks:
-        floats = np.column_stack((alphas, thetas, c.d, c.min_eig)).T
-        columns = ([map(str, range(start, start + len(alphas)))]
-                   + [_float_texts(col) for col in floats]
-                   + [map(str, c.neg_count.tolist()),
-                      np.where(c.entangled, "entangled", "separable").tolist(),
-                      np.where(c.boundary, "1", "0").tolist()])
-        yield head + sep.join(map(row, zip(*(columns[i] for i in order))))
+    for text, counts in texts:
+        yield head
+        yield text
         head = sep
-        tally += len(alphas), np.count_nonzero(c.entangled), np.count_nonzero(c.boundary)
+        tally += counts
     total, entangled, boundary = tally.tolist()
     summary = {"total": total, "entangled": entangled, "boundary": boundary,
                "separable": total - entangled - boundary}
@@ -298,25 +324,89 @@ def _scan_pieces(fmt: str, config: dict, chunks):
         yield "\n  ],\n" + _dump({"summary": summary, "version": __version__})[2:] + "\n"
 
 
+@contextlib.contextmanager
+def _with_worker(own, theirs, count):
+    """Yield the count chunk texts of a scan in sample order: own's for the
+    even chunks, and for the odd ones what theirs() yields on a forked
+    worker process.
+
+    The parent formats its chunk before it reads the worker's, and the
+    pipe's backpressure keeps the worker at most one chunk ahead.  An
+    exception in the worker is pickled through the pipe and raised here.
+    On leaving the block, by any path, the worker is killed if it still
+    runs and is reaped; a worker whose parent has gone ends on its next
+    write.
+    """
+    import pickle
+    import signal
+
+    # A bare fork, not multiprocessing: a spawned worker would import numpy
+    # and this package again, which takes longer than formatting a chunk.
+    # The caller forks before the first chunk is classified.
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The worker never returns into the caller's stack: it ends through
+        # os._exit whatever happens, flushing none of the parent's buffers.
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                try:
+                    for item in theirs():
+                        pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                        pipe.flush()
+                except Exception as exc:
+                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            def received():
+                try:
+                    item = pickle.load(pipe)
+                except EOFError:
+                    raise ChildProcessError("scan worker process ended early") from None
+                if isinstance(item, BaseException):
+                    raise item
+                return item
+
+            yield (next(own) if index % 2 == 0 else received()
+                   for index in range(count))
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a worker that sent its last chunk has no more to do
+        os.waitpid(pid, 0)
+
+
 def cmd_scan(args) -> int:
     if args.corners:
         if args.samples is not None or args.seed is not None:
             print("scan: --corners scans the fixed 2^15 corners; it takes "
                   "no --samples or --seed", file=sys.stderr)
             return 2
-        chunks = corner_scan()
+        run, count = corner_scan, 8  # one chunk per spectrum corner
         config = {"mode": "corners"}
     else:
         samples = 1000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
-        chunks = scan(samples, seed=seed)
+        run = functools.partial(scan, samples, seed=seed)
+        count = len(range(0, samples, haar.CHUNK))
         config = {"mode": "random", "samples": samples, "seed": seed}
-    pieces = _scan_pieces(args.format, config, chunks)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+
+    def texts(part):
+        # run is called here, not on the first chunk: it checks the arguments.
+        return (_chunk_text(args.format, chunk) for chunk in run(part=part))
+
+    # Two processes take alternate chunks when there are two chunks and two
+    # CPUs; the bytes are the same either way.
+    split = count > 1 and hasattr(os, "fork") and haar._available_cpus() > 1
+    own = texts((0, 2) if split else (0, 1))
+    with contextlib.ExitStack() as stack:
+        out = (stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
+               if args.output else sys.stdout)
+        if split:
+            own = stack.enter_context(_with_worker(own, lambda: texts((1, 2)), count))
+        out.writelines(_scan_pieces(args.format, config, own))
     return 0
 
 

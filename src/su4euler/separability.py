@@ -13,7 +13,8 @@ eigensolver.
 classify is the one classification kernel and works on (..., 4, 4) stacks.
 It and is_entangled, its single-matrix case, validate the caller's matrices.
 scan and corner_scan, whose chunks the CLI streams, build their states from
-angles, valid by construction, and skip that check.
+angles, valid by construction, and skip that check.  Either can classify
+every n-th chunk only (part), so that two processes split one scan.
 """
 
 import cmath
@@ -23,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import SPECTRUM_LOWER, SPECTRUM_UPPER, rho_full
-from .errors import ValidationError, _is_integer
-from .euler import range_profile
+from .density import CONJUGATION_SEQUENCE, SPECTRUM_LOWER, SPECTRUM_UPPER, conjugate
+from .errors import ValidationError, _is_integer, _shown
+from .euler import compose, range_profile
 from .haar import _advanced, _seeded_rng, chunk_sizes, sample_haar_angles
 
 
@@ -270,17 +271,32 @@ def is_entangled(rho: np.ndarray) -> SeparabilityVerdict:
     )
 
 
-def classify_chunks(chunks):
-    """Yield (start, alphas, thetas, Classification) for each (alphas,
-    thetas) chunk of states V(alphas) rho_d(thetas) V^dagger, start being
-    the sample index of the chunk's first state; the verdicts are
-    classify's.  rho_full rejects non-finite angles, and the states it
-    builds from finite ones are valid by construction, so
-    validate_density_matrix and its eigensolver are skipped."""
-    start = 0
-    for a, t in chunks:
-        yield start, a, t, _classify(rho_full(a, t))
-        start += len(a)
+def classify_chunks(chunks, *, part=(0, 1)):
+    """Yield (start, alphas, thetas, Classification) for chunks k, k + n,
+    k + 2n, ... of the (alphas, thetas) chunks of states V(alphas)
+    rho_d(thetas) V^dagger, where part = (k, n) with 0 <= k < n; start is
+    the sample index of the chunk's first state, counted over every chunk.
+    The verdicts are classify's.
+
+    Chunks that pass one alphas array in a row, as the corner chunks do,
+    share one composition of V: it is the same V, so no bit moves.  compose
+    and conjugate reject non-finite angles, and the states built from finite
+    ones are valid by construction, so validate_density_matrix and its
+    eigensolver are skipped.  part is checked at the call."""
+    if not (len(part) == 2 and all(map(_is_integer, part)) and 0 <= part[0] < part[1]):
+        raise ValueError(f"part must be integers (k, n) with 0 <= k < n, got {_shown(part)}")
+    k, n = part
+
+    def classified():
+        start, alphas, v = 0, None, None
+        for index, (a, t) in enumerate(chunks):
+            if index % n == k:
+                if a is not alphas:
+                    alphas, v = a, compose(CONJUGATION_SEQUENCE, a)
+                yield start, a, t, _classify(conjugate(v, t))
+            start += len(a)
+
+    return classified()
 
 
 def scan_angles(samples: int, seed: int = 0):
@@ -310,7 +326,7 @@ def scan_angles(samples: int, seed: int = 0):
     return drawn()
 
 
-def scan(samples: int, seed: int = 0):
+def scan(samples: int, seed: int = 0, *, part=(0, 1)):
     """Classify random states V rho_d V^dagger with Haar-random V.
 
     The 12 conjugation angles are a1..a12 of the Haar sampler over the SU(4)
@@ -323,9 +339,10 @@ def scan(samples: int, seed: int = 0):
     index of the chunk's first state), so memory does not grow with samples.
     Every argument is checked at the call, before any state is drawn.  All
     states come from one seeded generator: the output depends only on the
-    arguments.
+    arguments.  part = (k, n) yields only chunks k, k + n, ...; see
+    classify_chunks.
     """
-    return classify_chunks(scan_angles(samples, seed))
+    return classify_chunks(scan_angles(samples, seed), part=part)
 
 
 def corner_angles():
@@ -339,11 +356,13 @@ def corner_angles():
         yield alpha_corners, np.broadcast_to(theta, (4096, 3))
 
 
-def corner_scan():
+def corner_scan(*, part=(0, 1)):
     """Exhaustive classification at all 2^15 min/max parameter corners.
 
-    Returns scan's chunk iterator over eight chunks of 4096 states.  Sample
-    index t * 4096 + m: bit b of m selects the upper endpoint of a_{b+1}
-    (b < 12), bit j of t the upper endpoint of t_{j+1}.
+    Returns scan's chunk iterator over eight chunks of 4096 states, part
+    selecting among them as in scan.  Sample index t * 4096 + m: bit b of m
+    selects the upper endpoint of a_{b+1} (b < 12), bit j of t the upper
+    endpoint of t_{j+1}.  The chunks share one array of alpha corners, so
+    their 4096 conjugations are composed once.
     """
-    return classify_chunks(corner_angles())
+    return classify_chunks(corner_angles(), part=part)

@@ -27,7 +27,7 @@ from su4euler import (
 )
 from su4euler.separability import classify_chunks, corner_angles
 
-from conftest import fixed_spectrum_angles, scan_columns
+from conftest import fixed_spectrum_angles, same_columns, scan_columns
 
 
 def assert_matches_per_state(columns, rows):
@@ -151,6 +151,26 @@ def test_corner_scan_strided_subset_equals_per_state_route():
     columns = scan_columns(corner_scan())
     assert len(columns.index) == 2**15
     assert_matches_per_state(columns, [*range(0, 2**15, 331), *range(4090, 4102)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("corners", [False, True], ids=["random", "corners"])
+def test_scan_parts_interleave_to_the_whole_scan(corners, n):
+    def run(**kwargs):
+        return corner_scan(**kwargs) if corners else scan(3 * 4096 + 5, seed=6, **kwargs)
+
+    parts = [list(run(part=(k, n))) for k in range(n)]
+    merged = [parts[i % n][i // n] for i in range(sum(map(len, parts)))]
+    assert same_columns(scan_columns(merged), scan_columns(run()))
+
+
+@pytest.mark.parametrize("part", [(0, 0), (2, 2), (-1, 2), (0, 1.0), (True, 2),
+                                  (0, 1, 2), (1,)])
+def test_scan_part_is_checked_at_the_call(part):
+    for call in (lambda: scan(5, part=part), lambda: corner_scan(part=part),
+                 lambda: classify_chunks(iter([]), part=part)):
+        with pytest.raises(ValueError, match="part must be integers"):
+            call()
 
 
 def test_classify_stack_matches_is_entangled():

@@ -219,6 +219,38 @@ def test_check_rejects_malformed_angle_expression():
     assert len(proc.stderr) < 500
 
 
+@pytest.mark.parametrize("command", ["check", "rho"])
+@pytest.mark.parametrize("flag,value,named", [
+    # Thirteen entries with the third empty: dropping it would leave twelve
+    # angles, a3..a12 each shifted by one.
+    ("--alpha", "0.1,0.2,,0.4,0.5,0.6,0.7,0.8,0.9,1.0,1.1,1.2,1.3", "angle 3 of 13"),
+    ("--alpha", ZERO_ALPHA + ",", "angle 13 of 13"),
+    ("--theta", "1.0, ,1.1,1.2", "angle 2 of 4"),
+    ("--theta", "1.0,1.1,1.2,", "angle 4 of 4"),
+], ids=["alpha-inner", "alpha-trailing", "theta-blank", "theta-trailing"])
+def test_empty_angle_entry_exits_2(command, flag, value, named):
+    angles = {"--alpha": ZERO_ALPHA, "--theta": LOWER_THETA, flag: value}
+    proc = run_cli(command, *(item for pair in angles.items() for item in pair))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode() == f"su4euler: {named} is empty\n"
+
+
+def test_volume_names_an_unparsable_sample_count():
+    proc = run_cli("volume", "--group", "su4", "--method", "mc", "--samples", "abc")
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == ("su4euler: Monte Carlo sample count must be a "
+                                    "number such as 1e6, got 'abc'\n")
+
+
+@pytest.mark.parametrize("samples,problem", [("9" * 3000, "must be finite"),
+                                             ("x" * 3000, "must be a number")],
+                         ids=["overflows", "unparsable"])
+def test_volume_cuts_a_long_sample_count_short(samples, problem):
+    proc = run_cli("volume", "--group", "su2", "--method", "mc", "--samples", samples)
+    assert proc.returncode == 2
+    assert problem in proc.stderr.decode() and len(proc.stderr) < 200
+
+
 @pytest.mark.parametrize("row,col", [(0, 0), (0, 2)])
 def test_check_rejects_nonfinite_matrix_entries(tmp_path, row, col):
     rho = np.eye(4, dtype=complex) / 4.0

@@ -3,15 +3,20 @@
 The reference builds the whole output state by state from the chunks of the
 library's scan/corner_scan: every field through repr(float), and JSON as one
 json.dumps(sort_keys=True, indent=2) of the whole document.  The CLI writes
-the same bytes chunk by chunk from the classification columns.
+the same bytes chunk by chunk from the classification columns, on one
+process or split between two.
 """
 
 import json
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from su4euler import __version__, cli, corner_scan, scan
+from su4euler import __version__, cli, corner_scan, haar, scan
+from su4euler.haar import CHUNK
 from su4euler.separability import Classification
 
 _HEADER = (["sample_index"] + [f"alpha{i}" for i in range(1, 13)]
@@ -114,7 +119,7 @@ def test_float_texts_equal_repr(values):
 
 
 def test_float_texts_of_strided_columns():
-    # The rows of a transposed block, as _scan_pieces passes them.
+    # The rows of a transposed block, as _chunk_text passes them.
     block = np.column_stack((np.tile([-0.0, 0.0, 1e-300], 7), np.arange(21) / 7,
                              np.full(21, np.pi))).T
     for column in block:
@@ -134,7 +139,8 @@ def test_scan_pieces_keep_signed_zeros(fmt):
                        entangled=np.array([False, False, True]),
                        boundary=np.array([True, True, False]))
     config = {"mode": "random", "samples": 3, "seed": 0}
-    text = "".join(cli._scan_pieces(fmt, config, iter([(0, alphas, thetas, c)])))
+    chunk_text = cli._chunk_text(fmt, (0, alphas, thetas, c))
+    text = "".join(cli._scan_pieces(fmt, config, iter([chunk_text])))
     reference = _reference_text(fmt, config, [(0, alphas, thetas, c)])
     assert "-0.0" in reference
     assert text == reference
@@ -164,3 +170,113 @@ def test_golden_scan_tallies(tmp_path, args, tally):
     separable, entangled, boundary = tally
     assert footer == (f"# summary separable={separable} entangled={entangled} "
                       f"boundary={boundary} total={sum(tally)}")
+
+
+# The split: a scan of two or more chunks runs on two processes where two
+# CPUs are available, the parent and a forked worker taking alternate
+# chunks.  haar._available_cpus is patched to choose the path whatever this
+# machine has.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_CASES = {
+    "one-sample": {"samples": 1},
+    "one-chunk": {"samples": CHUNK},
+    "chunk-boundary": {"samples": CHUNK + 1, "seed": 3},
+    "three-chunks": {"samples": 10**4, "seed": 1},
+    "corners": {"corners": True},
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_two_processes_write_the_one_cpu_bytes(monkeypatch, tmp_path, case, fmt):
+    options = SPLIT_CASES[case]
+    one_chunk = options.get("samples", 2 * CHUNK) <= CHUNK
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    outputs = []
+    for cpus, fork in ((2, _no_fork if one_chunk else counted_fork), (1, _no_fork)):
+        monkeypatch.setattr(haar, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / f"scan-{cpus}.{fmt}"
+        assert cli.main(_argv(fmt, options) + ["--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert len(forks) == (0 if one_chunk else 1)
+    assert outputs[0] == outputs[1]
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_a_failed_chunk_ends_the_scan_as_on_one_cpu(monkeypatch, capsys, failing):
+    """Chunks 1 and 3 are the worker's, chunk 2 the parent's: either way
+    the scan writes the chunks before the failing one, reports its error
+    with the serial exit status, and leaves no process behind."""
+    chunk_text = cli._chunk_text
+
+    def failing_chunk_text(fmt, chunk):
+        if chunk[0] == failing * CHUNK:
+            raise ValueError(f"chunk {failing} failed")
+        return chunk_text(fmt, chunk)
+
+    monkeypatch.setattr(cli, "_chunk_text", failing_chunk_text)
+    results = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(haar, "_available_cpus", lambda: cpus)
+        status = cli.main(["scan", "--samples", str(4 * CHUNK), "--seed", "2"])
+        results.append((status, *capsys.readouterr()))
+    assert results[0] == results[1]
+    status, out, err = results[0]
+    assert status == 2 and err == f"su4euler: chunk {failing} failed\n"
+    assert len(out.splitlines()) == 1 + failing * CHUNK  # the header and the rows before
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_scan_to_a_closed_reader_ends_quietly_and_leaves_no_process(monkeypatch,
+                                                                      capsys):
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed_reader:
+        monkeypatch.setattr(sys, "stdout", closed_reader)
+        assert cli.main(["scan", "--samples", "20000"]) == 1
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_split_scan_memory_does_not_grow_with_samples(monkeypatch, tmp_path):
+    # The parent holds its own chunk and at most one of the worker's.
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
+    out = tmp_path / "scan.csv"
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert cli.main(["scan", "--samples", str(samples),
+                             "--output", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * 10**4), peak(6 * 10**4)
+    assert abs(large - small) < 2**20
+    _assert_no_child_left()
