@@ -6,7 +6,8 @@ Angles accept pi-literal arithmetic such as pi/4 or acos(1/sqrt(3)) so the
 tabulated interval endpoints can be entered exactly.
 
 Exit statuses: 0 success, 1 unreadable input or output file, 2 usage
-error, 3 input-validation failure.
+error, 3 input-validation failure, 130 interrupted (SIGINT), with nothing
+on stderr.
 """
 
 import argparse
@@ -114,7 +115,9 @@ def load_matrix_file(path: str) -> np.ndarray:
     if found:
         raise ValidationError(
             f"matrix file {path!r} needs 4 rows of 8 reals, got {found}")
-    return data[:, 0::2] + 1j * data[:, 1::2]
+    # Interleaved re/im is complex128's layout: a view, with no arithmetic
+    # on an inf entry before validate_density_matrix names it.
+    return data.view(complex)
 
 
 def _dump(body: dict) -> str:
@@ -246,15 +249,29 @@ _SCAN_HEADER = (
 )
 
 
+# A row as the formatter builds it: its twelve alpha texts are one block,
+# which sorts as "alphas".
+_ALPHA_KEYS = _SCAN_HEADER[1:13]
+_ROW = [_SCAN_HEADER[0], "alphas", *_SCAN_HEADER[13:]]
+
 # A record as json.dumps(..., sort_keys=True, indent=2) prints it inside
-# "records": keys sorted, every value a string.
-_JSON_ORDER = sorted(range(len(_SCAN_HEADER)), key=_SCAN_HEADER.__getitem__)
-_JSON_RECORD = ("    {\n"
-                + ",\n".join(f'      "{_SCAN_HEADER[i]}": "%s"' for i in _JSON_ORDER)
-                + "\n    }")
+# "records": keys sorted, every value a string.  The twelve alpha keys sort
+# first (alpha1, alpha10, alpha11, alpha12, alpha2, ..., alpha9), so the
+# alpha block is one run of fields here too.  A chunk is a list of pieces,
+# each record's literals and fields in turn, joined once.
+_JSON_KEY = '",\n      "{}": "'  # ends one value and opens the next key's
+_JSON_ALPHAS = sorted(range(12), key=_ALPHA_KEYS.__getitem__)
+_JSON_BLOCK = "%s" + "".join(_JSON_KEY.format(_ALPHA_KEYS[i]) + "%s"
+                             for i in _JSON_ALPHAS[1:])
+_JSON_ORDER = sorted(range(len(_ROW)), key=_ROW.__getitem__)  # the block first
+_JSON_OPEN = '    {\n      "alpha1": "'
+_JSON_CLOSE = '"\n    }'
+# One record's pieces after the first record, None where a field goes.
+_JSON_PIECES = [_JSON_CLOSE + ",\n" + _JSON_OPEN, None] + [
+    piece for i in _JSON_ORDER[1:] for piece in (_JSON_KEY.format(_ROW[i]), None)]
 
 
-def _float_texts(column: np.ndarray):
+def _float_texts(column: np.ndarray) -> list:
     """repr() of each float of a 1-D float64 column, in order.
 
     Each distinct value is formatted once and its text indexed back: a
@@ -268,35 +285,60 @@ def _float_texts(column: np.ndarray):
     bits = column.view(np.int64)
     ordered = np.sort(bits)
     if not (ordered[1:] == ordered[:-1]).any():
-        return map(repr, column.tolist())
+        return list(map(repr, column.tolist()))
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 
 
-def _chunk_text(fmt: str, chunk) -> tuple:
-    """(text, (total, entangled, boundary)) of one classified chunk: its
-    records joined by the format's separator, and its three tallies.
-    Numbers print as repr() of Python floats."""
-    start, alphas, thetas, c = chunk
+def _chunk_formatter(fmt: str):
+    """A function from one classified chunk to (text, (total, entangled,
+    boundary)): its records joined by the format's separator, and its three
+    tallies.  Numbers print as repr() of Python floats.
+
+    Each row's twelve alpha texts form one block, formatted once and kept
+    while the chunks pass the same alphas array, as the corner chunks do;
+    it holds one chunk's rows.
+    """
     if fmt == "csv":
-        order, row, sep = range(len(_SCAN_HEADER)), ",".join, "\n"
+        alpha_order, block_of = range(12), ",".join
     else:
-        order, row, sep = _JSON_ORDER, _JSON_RECORD.__mod__, ",\n"
-    floats = np.column_stack((alphas, thetas, c.d, c.min_eig)).T
-    columns = ([map(str, range(start, start + len(alphas)))]
-               + [_float_texts(col) for col in floats]
-               + [map(str, c.neg_count.tolist()),
-                  np.where(c.entangled, "entangled", "separable").tolist(),
-                  np.where(c.boundary, "1", "0").tolist()])
-    text = sep.join(map(row, zip(*(columns[i] for i in order))))
-    return text, (len(alphas), np.count_nonzero(c.entangled),
-                  np.count_nonzero(c.boundary))
+        alpha_order, block_of = _JSON_ALPHAS, _JSON_BLOCK.__mod__
+    kept, block = None, None
+
+    def chunk_text(chunk):
+        nonlocal kept, block
+        start, alphas, thetas, c = chunk
+        if alphas is not kept:
+            kept = block = None  # the old block goes before the new one is built
+            columns = [_float_texts(alphas[:, i]) for i in alpha_order]
+            kept, block = alphas, list(map(block_of, zip(*columns)))
+        floats = np.column_stack((thetas, c.d, c.min_eig)).T
+        columns = ([map(str, range(start, start + len(alphas))), block]
+                   + [_float_texts(col) for col in floats]
+                   + [map(str, c.neg_count.tolist()),
+                      np.where(c.entangled, "entangled", "separable").tolist(),
+                      np.where(c.boundary, "1", "0").tolist()])
+        if fmt == "csv":
+            text = "\n".join(map(",".join, zip(*columns)))
+        else:
+            width = len(_JSON_PIECES)
+            pieces = _JSON_PIECES * len(alphas)
+            for j, i in enumerate(_JSON_ORDER):
+                pieces[2 * j + 1::width] = columns[i]
+            pieces[0] = _JSON_OPEN
+            pieces.append(_JSON_CLOSE)
+            text = "".join(pieces)
+        return text, (len(alphas), np.count_nonzero(c.entangled),
+                      np.count_nonzero(c.boundary))
+
+    return chunk_text
 
 
 def _scan_pieces(fmt: str, config: dict, texts):
-    """Scan output text: the head, then each chunk's text from _chunk_text
-    in sample order, then the tail with the summary of their tallies.
+    """Scan output text: the head, then each chunk's text from a
+    _chunk_formatter in sample order, then the tail with the summary of
+    their tallies.
 
     The JSON bytes equal json.dumps(sort_keys=True, indent=2) of the whole
     document.
@@ -390,12 +432,12 @@ def cmd_scan(args) -> int:
         samples = 1000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         run = functools.partial(scan, samples, seed=seed)
-        count = len(range(0, samples, haar.CHUNK))
+        count = -(-samples // haar.CHUNK)  # no len(): a count past 2**63 overflows it
         config = {"mode": "random", "samples": samples, "seed": seed}
 
     def texts(part):
         # run is called here, not on the first chunk: it checks the arguments.
-        return (_chunk_text(args.format, chunk) for chunk in run(part=part))
+        return map(_chunk_formatter(args.format), run(part=part))
 
     # Two processes take alternate chunks when there are two chunks and two
     # CPUs; the bytes are the same either way.
@@ -493,6 +535,10 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
+    except KeyboardInterrupt:
+        # Ctrl-C: the worker of a split scan is already reaped; end with
+        # the shell's status for SIGINT and no traceback.
+        return 130
     except BrokenPipeError:
         # The reader closed stdout (`su4euler scan | head`): end quietly, and
         # point stdout at devnull so the flush at exit cannot fail again.

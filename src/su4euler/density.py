@@ -11,7 +11,7 @@ commute with the diagonal and drop out.  Each layer is one array expression
 over stacked angles; conjugation scales V's columns instead of building rho_d.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ SPECTRUM_LOWER = (np.pi / 4.0, np.arccos(1.0 / np.sqrt(3.0)), np.pi / 3.0)
 SPECTRUM_UPPER = (np.pi / 2.0, np.pi / 2.0, np.pi / 2.0)
 
 
-@dataclass(frozen=True)
-class BlochCoefficients:
+class BlochCoefficients(NamedTuple):
     """Diagonal-basis expansion rho_d = w0 I + w3 l3 + w8 l8 + w15 l15."""
 
     w0: float

@@ -15,7 +15,7 @@ in place only the columns it touches.  Angles are radians and unrestricted
 sampling only.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ _PROFILE_HIGHS = {
 }
 
 
-@dataclass(frozen=True)
-class RangeProfile:
+class RangeProfile(NamedTuple):
     """Per-angle closed intervals [lo, hi] for one group and range kind."""
 
     group: str

@@ -21,12 +21,15 @@ For example, E tr U over volume-range draws of SU(4) is about 0.56 - 0.52i,
 where Haar gives 0.
 """
 
+# The annotations stay unevaluated: np.random.Generator would import
+# numpy.random at load, which only a draw needs.
+from __future__ import annotations
+
 import copy
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .algebra import _LAMBDA, _factor_stack, _factor_tables
 from .errors import _is_integer, _shown
@@ -93,8 +96,7 @@ _DENSITY_FACTORS = {group: {axis - chain.start: _SU4_FACTORS[axis]
                     for group, chain in _CHAINS.items()}
 
 
-@dataclass(frozen=True)
-class VolumeResult:
+class VolumeResult(NamedTuple):
     estimate: float
     standard_error: float
     method: str
@@ -190,6 +192,9 @@ def one_form_matrix_su3(angles) -> np.ndarray:
 
 def _quadrature_volume(group: str, nodes: int) -> float:
     profile = range_profile(group, "volume")
+    # Imported here: no other path uses it, and it loads numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
+
     factors = _DENSITY_FACTORS[group]
     x, w = leggauss(nodes)
     total = float(_NORMALIZATION[group])

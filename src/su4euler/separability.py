@@ -19,7 +19,6 @@ every n-th chunk only (part), so that two processes split one scan.
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +46,7 @@ class DepressedQuartic(NamedTuple):
     r: float
 
 
-@dataclass(frozen=True)
-class ResolventRoots:
+class ResolventRoots(NamedTuple):
     """Roots of g^3 + 2p g^2 + (p^2 - 4r) g - q^2; branch_valid marks all
     three real and nonnegative within 1e-10."""
 
@@ -56,8 +54,7 @@ class ResolventRoots:
     branch_valid: bool
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(NamedTuple):
     entangled: bool
     d_value: float
     min_eigenvalue: float
@@ -99,7 +96,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
     Accepts one 4x4 matrix or a (..., 4, 4) stack; every state must pass
     every check, and a failure in a stack names the first offending state.
-    Finiteness is checked first: a NaN entry fails no comparison below.
+    Finiteness is checked first, so a non-finite entry is named as such.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
@@ -115,13 +112,17 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     nonfinite = np.count_nonzero(~np.isfinite(rho), axis=(-2, -1))
     check(nonfinite > 0,
           "finiteness invariant violated: {} of 16 entries not finite", nonfinite)
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    check(herm > _HERM_TOL, "hermiticity invariant violated: residue {:.3e}", herm)
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    check(abs(tr - 1.0) > _TRACE_TOL, "trace invariant violated: trace {:.17g}", tr)
+    # Finite entries near the float limit can take a residue or the
+    # eigensolver to inf or nan.  numpy need not warn: each check below
+    # passes only a number within its bound, so inf and nan fail it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        tr = np.trace(rho, axis1=-2, axis2=-1)
+    check(~(herm <= _HERM_TOL), "hermiticity invariant violated: residue {:.3e}", herm)
+    check(~(abs(tr - 1.0) <= _TRACE_TOL), "trace invariant violated: trace {:.17g}", tr)
     min_eig = np.linalg.eigvalsh(rho)[..., 0]
-    check(min_eig < -_PSD_TOL, "positivity invariant violated: min eigenvalue {:.3e}",
-          min_eig)
+    check(~(min_eig >= -_PSD_TOL),
+          "positivity invariant violated: min eigenvalue {:.3e}", min_eig)
 
 
 def char_poly_coeffs(m: np.ndarray) -> CharPolyCoeffs:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from su4euler import is_entangled, rho_full
+from su4euler import cli, is_entangled, rho_full
 
 LOWER_THETA = "pi/4, acos(1/sqrt(3)), pi/3"
 ZERO_ALPHA = ",".join(["0"] * 12)
@@ -260,6 +260,49 @@ def test_check_rejects_nonfinite_matrix_entries(tmp_path, row, col):
     proc = run_cli("check", "--matrix", str(path))
     assert proc.returncode == 3
     assert "finiteness invariant violated" in proc.stderr.decode()
+
+
+def _quarter_file(entries) -> str:
+    """A matrix file of rho = I/4, with the reals at the given (row, column)
+    of its 4 rows of 8 replaced by the given texts."""
+    rows = [["0.25" if j == 2 * i else "0" for j in range(8)] for i in range(4)]
+    for (i, j), text in entries.items():
+        rows[i][j] = text
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+_HUGE_COMPLEX = {(i, 2 * j + k): "-1.7e308" if k and i > j else "1.7e308"
+                 for i in range(4) for j in range(4) if i != j for k in (0, 1)}
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({(0, 2): "1e308", (1, 0): "-1e308"}, "hermiticity invariant violated: residue inf"),
+    ({(0, 1): "1e400"}, "finiteness invariant violated: 1 of 16 entries not finite"),
+    ({(0, 0): "1e308", (1, 2): "1e308", (2, 4): "-1e308", (3, 6): "-1e308"},
+     "trace invariant violated: trace nan+0j"),
+    (_HUGE_COMPLEX, "positivity invariant violated: min eigenvalue nan"),
+], ids=["hermiticity-overflow", "inf-imaginary-part", "trace-overflow",
+        "eigensolver-overflow"])
+def test_check_matrix_near_the_float_limit_exits_3_without_a_warning(tmp_path, capsys,
+                                                                     entries, message):
+    # In process, so that tier-1's error::RuntimeWarning fails any numpy warning.
+    path = tmp_path / "extreme.mat"
+    path.write_text(_quarter_file(entries), encoding="utf-8")
+    assert cli.main(["check", "--matrix", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"su4euler: {message}\n")
+
+
+def test_cli_import_loads_no_random_polynomial_or_dataclasses():
+    """Beyond what numpy loads itself: a draw imports numpy.random and the
+    quadrature numpy.polynomial when they run."""
+    code = ("import sys, numpy; before = set(sys.modules); import su4euler.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          check=True, timeout=300)
+    loaded = proc.stdout.decode().split()
+    assert "su4euler.cli" in loaded
+    assert [m for m in loaded if m == "dataclasses"
+            or m.startswith(("numpy.random", "numpy.polynomial"))] == []
 
 
 def test_check_missing_matrix_file_exits_1(tmp_path):

@@ -9,7 +9,10 @@ process or split between two.
 
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,12 +122,31 @@ def test_float_texts_equal_repr(values):
 
 
 def test_float_texts_of_strided_columns():
-    # The rows of a transposed block, as _chunk_text passes them.
+    # The rows of a transposed block, as the chunk formatter passes them.
     block = np.column_stack((np.tile([-0.0, 0.0, 1e-300], 7), np.arange(21) / 7,
                              np.full(21, np.pi))).T
     for column in block:
         assert not column.flags.contiguous
         assert list(cli._float_texts(column)) == [_fmt(x) for x in column]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_corner_scan_formats_each_alpha_column_once(monkeypatch, tmp_path, fmt):
+    """The eight corner chunks share one alphas array: one process formats
+    its twelve columns once, and per chunk only the thetas, d and min_eig."""
+    calls = []
+    float_texts = cli._float_texts
+
+    def counted_float_texts(column):
+        calls.append(len(column))
+        return float_texts(column)
+
+    monkeypatch.setattr(cli, "_float_texts", counted_float_texts)
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 1)
+    out = tmp_path / f"corners.{fmt}"
+    assert cli.main(["scan", "--corners", "--format", fmt, "--output", str(out)]) == 0
+    assert calls == [CHUNK] * (12 + 8 * 5)
+    assert out.read_bytes() == reference_output(fmt, corners=True).encode()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -139,7 +161,7 @@ def test_scan_pieces_keep_signed_zeros(fmt):
                        entangled=np.array([False, False, True]),
                        boundary=np.array([True, True, False]))
     config = {"mode": "random", "samples": 3, "seed": 0}
-    chunk_text = cli._chunk_text(fmt, (0, alphas, thetas, c))
+    chunk_text = cli._chunk_formatter(fmt)((0, alphas, thetas, c))
     text = "".join(cli._scan_pieces(fmt, config, iter([chunk_text])))
     reference = _reference_text(fmt, config, [(0, alphas, thetas, c)])
     assert "-0.0" in reference
@@ -228,14 +250,19 @@ def test_a_failed_chunk_ends_the_scan_as_on_one_cpu(monkeypatch, capsys, failing
     """Chunks 1 and 3 are the worker's, chunk 2 the parent's: either way
     the scan writes the chunks before the failing one, reports its error
     with the serial exit status, and leaves no process behind."""
-    chunk_text = cli._chunk_text
+    chunk_formatter = cli._chunk_formatter
 
-    def failing_chunk_text(fmt, chunk):
-        if chunk[0] == failing * CHUNK:
-            raise ValueError(f"chunk {failing} failed")
-        return chunk_text(fmt, chunk)
+    def failing_chunk_formatter(fmt):
+        chunk_text = chunk_formatter(fmt)
 
-    monkeypatch.setattr(cli, "_chunk_text", failing_chunk_text)
+        def failing_chunk_text(chunk):
+            if chunk[0] == failing * CHUNK:
+                raise ValueError(f"chunk {failing} failed")
+            return chunk_text(chunk)
+
+        return failing_chunk_text
+
+    monkeypatch.setattr(cli, "_chunk_formatter", failing_chunk_formatter)
     results = []
     for cpus in (2, 1):
         monkeypatch.setattr(haar, "_available_cpus", lambda: cpus)
@@ -260,6 +287,53 @@ def test_a_scan_to_a_closed_reader_ends_quietly_and_leaves_no_process(monkeypatc
         monkeypatch.undo()
     assert capsys.readouterr().err == ""
     _assert_no_child_left()
+
+
+@needs_fork
+def test_a_huge_scan_to_a_closed_reader_ends_quietly(monkeypatch, capsys):
+    # More chunks than a C ssize_t counts: no len(range(...)) may see them.
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed_reader:
+        monkeypatch.setattr(sys, "stdout", closed_reader)
+        assert cli.main(["scan", "--samples", "9" * 25]) == 1
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("target", ["process", "group"])
+def test_ctrl_c_ends_a_scan_with_130_and_leaves_no_process(tmp_path, target):
+    """SIGINT to the scan alone, or to its process group as a terminal's
+    Ctrl-C sends it (the worker too), once the scan has begun to write."""
+    out = tmp_path / "scan.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "su4euler", "scan", "--samples", str(10**7),
+         "--output", str(out)],
+        stderr=subprocess.PIPE, start_new_session=True,
+        # A shell may start a background job with SIGINT ignored.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    pgid = proc.pid  # the leader of a new session heads its process group
+    try:
+        deadline = time.monotonic() + 120
+        while not (out.exists() and out.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        if target == "process":
+            os.kill(proc.pid, signal.SIGINT)
+        else:
+            os.killpg(pgid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(pgid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
 
 
 @needs_fork
