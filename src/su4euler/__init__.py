@@ -18,8 +18,6 @@ from .euler import (
     SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
     compose,
-    compose_su2,
-    compose_su3,
     compose_su4,
     range_profile,
 )
@@ -28,10 +26,7 @@ from .haar import (
     analytic_volume,
     group_volume,
     haar_density,
-    haar_density_su2,
-    haar_density_su3,
     one_form_matrix,
-    one_form_matrix_su3,
     sample_haar_angles,
     sample_haar_unitary,
 )

@@ -157,9 +157,7 @@ def _rho_from_args(args) -> tuple:
 def cmd_basis(args) -> int:
     if args.structure:
         if args.index is not None:
-            print("basis: --structure prints the whole table; it takes no --index",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("basis: --structure prints the whole table; it takes no --index")
         f = structure_constants()
         for i in range(1, 16):
             for j in range(1, 16):
@@ -181,9 +179,7 @@ def cmd_volume(args) -> int:
     unread = ("samples", "seed") if args.method == "quad" else ("nodes",)
     given = [f"--{flag}" for flag in unread if getattr(args, flag) is not None]
     if given:
-        print(f"volume: --method {args.method} takes no {' or '.join(given)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"volume: --method {args.method} takes no {' or '.join(given)}")
     started = time.perf_counter() if args.timing else None
     config = {"group": args.group, "method": args.method}
     if args.method == "quad":
@@ -226,9 +222,7 @@ def cmd_check(args) -> int:
         rho, _ = _rho_from_args(args)
         config = {"alpha": args.alpha, "theta": args.theta}
     else:
-        print("check: provide --matrix FILE or both --alpha and --theta, not both",
-              file=sys.stderr)
-        return 2
+        raise ValueError("check: provide --matrix FILE or both --alpha and --theta, not both")
     verdict = is_entangled(rho)
     payload = {
         "d": verdict.d_value,
@@ -423,9 +417,8 @@ def _with_worker(own, theirs, count):
 def cmd_scan(args) -> int:
     if args.corners:
         if args.samples is not None or args.seed is not None:
-            print("scan: --corners scans the fixed 2^15 corners; it takes "
-                  "no --samples or --seed", file=sys.stderr)
-            return 2
+            raise ValueError("scan: --corners scans the fixed 2^15 corners; it takes "
+                             "no --samples or --seed")
         run, count = corner_scan, 8  # one chunk per spectrum corner
         config = {"mode": "corners"}
     else:

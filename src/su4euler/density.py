@@ -15,12 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import gell_mann
 from .euler import SU4_GENERATOR_SEQUENCE, compose
 
 CONJUGATION_SEQUENCE = SU4_GENERATOR_SEQUENCE[:12]
 
-# Spectrum-angle ranges whose image is the ordered eigenvalue simplex.
+# Spectrum-angle ranges.  With (a, b, c) = sin^2 of the angles the box is
+# [1/2, 1] x [2/3, 1] x [3/4, 1], and its image under spectrum_diagonal is
+# {l1 >= l2, l3 <= (l1 + l2 + l3)/3, l4 <= 1/4}.  That image contains the
+# ordered chamber l1 >= l2 >= l3 >= l4, so every spectrum is reached, but it
+# is not the chamber: most points of the box give an unordered spectrum.
 SPECTRUM_LOWER = (np.pi / 4.0, np.arccos(1.0 / np.sqrt(3.0)), np.pi / 3.0)
 SPECTRUM_UPPER = (np.pi / 2.0, np.pi / 2.0, np.pi / 2.0)
 
@@ -32,12 +35,6 @@ class BlochCoefficients(NamedTuple):
     w3: float
     w8: float
     w15: float
-
-    def matrix(self) -> np.ndarray:
-        return (self.w0 * np.eye(4, dtype=complex)
-                + self.w3 * gell_mann(3)
-                + self.w8 * gell_mann(8)
-                + self.w15 * gell_mann(15))
 
 
 def _sin_squared(theta) -> np.ndarray:

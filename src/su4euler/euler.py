@@ -8,7 +8,8 @@ The SU(4) element is the ordered 15-factor product
 
 with SU(3) its a7..a14 factors and SU(2) its a1..a3 factors: each takes the
 SU(4) chain's ranges (and, in haar, its Haar factors) at those positions.
-SU(2) and SU(3) elements are returned embedded in the top-left block of a
+compose(SU2_GENERATOR_SEQUENCE, ...) and compose(SU3_GENERATOR_SEQUENCE,
+...) return SU(2) and SU(3) elements embedded in the top-left block of a
 4x4 identity.  A product starts from the identity, and each factor updates
 in place only the columns it touches.  Angles are radians and unrestricted
 (the group is periodic); the range profiles are for integration and
@@ -108,16 +109,6 @@ def compose(generators, angles) -> np.ndarray:
     for k, g in enumerate(generators):
         _right_multiply(u, g, angles[..., k])
     return u
-
-
-def compose_su2(mu: float, nu: float, xi: float) -> np.ndarray:
-    """D(mu, nu, xi) = e^{i l3 mu} e^{i l2 nu} e^{i l3 xi}, embedded 4x4."""
-    return compose(SU2_GENERATOR_SEQUENCE, (mu, nu, xi))
-
-
-def compose_su3(angles) -> np.ndarray:
-    """SU(3) element from the eight angles a7..a14, embedded 4x4."""
-    return compose(SU3_GENERATOR_SEQUENCE, angles)
 
 
 def compose_su4(angles) -> np.ndarray:

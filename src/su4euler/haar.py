@@ -109,38 +109,23 @@ def analytic_volume(group: str) -> float:
     return _ANALYTIC_VOLUME[normalize_group(group)]
 
 
-def _density(group: str, angles) -> np.ndarray | float:
-    angles = np.asarray(angles, dtype=float)
-    dim = len(_GENERATOR_SEQUENCES[group])
-    if angles.shape[-1:] != (dim,):
-        raise ValueError(f"expected trailing dimension {dim}, got {angles.shape}")
-    if not np.isfinite(angles).all():
-        raise ValueError("angles must be finite")
-    out = np.ones(angles.shape[:-1])
-    for axis, (factor, _) in _DENSITY_FACTORS[group].items():
-        out = out * factor(angles[..., axis])
-    return out if out.ndim else float(out)
-
-
 def haar_density(angles) -> np.ndarray | float:
     """Closed-form SU(4) Haar density at a1..a15 (trailing axis may stack).
 
     Equals cos^3(a4) cos(a6) cos(a10) sin(2 a2) sin(a4) sin^5(a6)
     sin(2 a8) sin^3(a10) sin(2 a12); only the six even angles up to a12
-    enter.
+    enter.  SU(2) and SU(3) densities are the products of their groups'
+    _DENSITY_FACTORS.
     """
-    return _density("su4", angles)
-
-
-def haar_density_su3(angles) -> np.ndarray | float:
-    """SU(3) Haar density sin(2 a8) cos(a10) sin^3(a10) sin(2 a12) for the
-    eight-angle vector a7..a14."""
-    return _density("su3", angles)
-
-
-def haar_density_su2(angles) -> np.ndarray | float:
-    """SU(2) Haar density sin(2 nu) for (mu, nu, xi)."""
-    return _density("su2", angles)
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1:] != (15,):
+        raise ValueError(f"expected trailing dimension 15, got {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
+    out = np.ones(angles.shape[:-1])
+    for axis, (factor, _) in _SU4_FACTORS.items():
+        out = out * factor(angles[..., axis])
+    return out if out.ndim else float(out)
 
 
 # Tables of the SU(4) chain: the factor-stack tables of F_2..F_15 (F_1 enters
@@ -178,16 +163,6 @@ def one_form_matrix(angles) -> np.ndarray:
         step *= 2
     x = s.conj().transpose(0, 2, 1) @ _LAMBDA_G @ s
     return x.reshape(15, 16).view(float) @ _BASIS
-
-
-def one_form_matrix_su3(angles) -> np.ndarray:
-    """8x8 coefficient matrix for the SU(3) chain a7..a14 over lam_1..lam_8:
-    one_form_matrix's a7..a14 rows and lam_1..lam_8 columns at a1..a6 = a15
-    = 0, where those factors are the identity."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (8,):
-        raise ValueError(f"expected 8 angles, got shape {angles.shape}")
-    return one_form_matrix(np.concatenate((np.zeros(6), angles, [0.0])))[6:14, :8]
 
 
 def _quadrature_volume(group: str, nodes: int) -> float:

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior through real subprocesses."""
 
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -48,7 +52,7 @@ def test_basis_structure_takes_no_index():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == (
-        "basis: --structure prints the whole table; it takes no --index\n")
+        "su4euler: basis: --structure prints the whole table; it takes no --index\n")
 
 
 def test_basis_bad_index_exits_2():
@@ -402,7 +406,8 @@ def test_volume_rejects_flags_its_method_does_not_read(flags, named):
     method = "mc" if "mc" in flags else "quad"
     assert proc.returncode == 2
     assert proc.stdout == b""
-    assert proc.stderr.decode() == f"volume: --method {method} takes no {named}\n"
+    assert proc.stderr.decode() == (
+        f"su4euler: volume: --method {method} takes no {named}\n")
 
 
 def test_volume_config_holds_what_the_method_reads():
@@ -688,3 +693,138 @@ def test_angle_expression_rejects_calls():
         parse_angle("__import__('os').system('true')")
     with pytest.raises(ValueError):
         parse_angle("open('/etc/passwd')")
+
+
+# Values no flag should turn into a traceback: empty and blank strings, an
+# overflowing literal, nan, a 3000-digit count, non-ASCII digits (Arabic-Indic
+# and fullwidth, which int() and float() accept), a bool, unknown names, and
+# expressions nested too deeply or too long for the parser.
+_HOSTILE = ["", " ", "\t\n", "1e400", "-1e400", "nan", "inf", "9" * 3000,
+            "-" + "9" * 3000, "٣", "１２", "True", "su5", "bogus",
+            "(" * 300 + "1" + ")" * 300, "-" * 3000 + "1", "1/0", "acos(2)",
+            "9**9**9", "pi/4,", ",", "0", "-1", "2500.5"]
+_ANGLES = ["0", "0.3", "pi/4", "pi/5", "-1.2", "acos(1/sqrt(3))", "2*pi", "1e-9"]
+_THETAS = ["pi/4", "1", "1.1", "1.2", "pi/3", "pi/2", "acos(1/sqrt(3))"]
+_MATRIX_TOKENS = ["0", "0", "0", "0.25", "0.5", "-0.5", "1", "1e-300", "1e308",
+                  "-1e308", "1e400", "nan", "inf", "-inf", "abc", "0x10", "١",
+                  "1,0", "True"]
+
+
+def _sweep_value(rng, valid):
+    """A value for one flag: valid one time in two, else hostile."""
+    return rng.choice(valid) if rng.random() < 0.5 else rng.choice(_HOSTILE)
+
+
+def _angle_list(rng, pool, counts):
+    values = [rng.choice(pool) for _ in range(rng.choice(counts))]
+    if rng.random() < 0.3:
+        values[rng.randrange(len(values))] = rng.choice(_HOSTILE)
+    return ",".join(values)
+
+
+def _counts(parse, most):
+    """The hostile values except those parse reads as a finite count above
+    most: a scan of more than one chunk forks a worker, and a large Monte
+    Carlo count runs long.  inf and nan are rejected at once and stay."""
+    def small(text):
+        try:
+            return not most < parse(text) < math.inf
+        except ValueError:
+            return True
+
+    return [text for text in _HOSTILE if small(text)]
+
+
+def _matrix_file(rng, path):
+    """A random 4x8 table of tokens, sometimes of another shape, sometimes
+    the valid I/4."""
+    if rng.random() < 0.2:
+        rows = [["0"] * 8 for _ in range(4)]
+        for k in range(4):
+            rows[k][2 * k] = "0.25"
+    else:
+        rows = [[rng.choice(_MATRIX_TOKENS) for _ in range(rng.choice((8, 8, 8, 7, 9)))]
+                for _ in range(rng.choice((4, 4, 4, 0, 3, 5)))]
+    path.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+def _sweep_argv(rng, tmp_path, index):
+    command = rng.choice(["basis", "volume", "check", "scan", "rho"])
+    argv = [command]
+    if command == "basis":
+        if rng.random() < 0.5:
+            argv += ["--index", _sweep_value(rng, [str(k) for k in range(1, 16)])]
+        if rng.random() < 0.3:
+            argv.append("--structure")
+    elif command == "volume":
+        argv += ["--group", _sweep_value(rng, ["su2", "su3", "su4"])]
+        method = rng.choice(["quad", "mc", "mc", rng.choice(_HOSTILE)])
+        argv += ["--method", method]
+        if rng.random() < 0.3 or method == "quad" and rng.random() < 0.5:
+            argv += ["--nodes", _sweep_value(rng, ["2", "12", "64"])]
+        if rng.random() < 0.6 or method == "mc" and rng.random() < 0.5:
+            argv += ["--samples", rng.choice(["1000", "2.5e3", "4096", "5e3"]
+                                             + _counts(float, 5000))]
+        if rng.random() < 0.4:
+            argv += ["--seed", _sweep_value(rng, ["0", "1", "7"])]
+    elif command in ("check", "rho"):
+        # check reads a matrix file, or the angles, or given both neither.
+        source = rng.choice(["angles", "matrix", "matrix", "both"] if command == "check"
+                            else ["angles"])
+        if source != "matrix":
+            for flag, pool, counts in (("--alpha", _ANGLES, (12, 15, 12, 11)),
+                                       ("--theta", _THETAS, (3, 3, 3, 2))):
+                if rng.random() < 0.9:
+                    argv += [flag, _angle_list(rng, pool, counts)]
+        if source != "angles":
+            path = _matrix_file(rng, tmp_path / f"sweep{index}.mat")
+            argv += ["--matrix", rng.choice([path] * 7 + ["", str(tmp_path),
+                                                          str(tmp_path / "absent.mat")])]
+    else:
+        if rng.random() < 0.15:
+            # Always with --samples or --seed: the 2^15 corners span eight
+            # chunks, which would fork a worker.
+            argv += ["--corners", rng.choice(["--samples", "--seed"]), "1"]
+        if rng.random() < 0.7:
+            argv += ["--samples", rng.choice(["1", "3", "17", "256", "4096"]
+                                             + _counts(int, 4096))]
+        if rng.random() < 0.4:
+            argv += ["--seed", _sweep_value(rng, ["0", "1", "2"])]
+        if rng.random() < 0.4:
+            argv += ["--format", _sweep_value(rng, ["csv", "json"])]
+        if rng.random() < 0.3:
+            argv += ["--output", rng.choice(["out.csv", " ", str(tmp_path / "no" / "x")])]
+    if command != "basis" and rng.random() < 0.2:
+        argv.append("--timing")
+    return argv
+
+
+def test_seeded_argv_and_matrix_file_sweep(tmp_path, monkeypatch, capsys):
+    # Random argv over the five subcommands, run in process: every run ends
+    # in a documented status with one su4euler: line or argparse's usage on
+    # stderr, a success prints nothing there, and no warning is raised.
+    monkeypatch.chdir(tmp_path)  # a stray --output lands here
+    rng = random.Random(27)
+    statuses = set()
+    for index in range(1500):
+        argv = _sweep_argv(rng, tmp_path, index)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        out, err = capsys.readouterr()
+        statuses.add(status)
+        assert caught == [], argv
+        assert status in (0, 1, 2, 3), argv
+        if status == 0:
+            assert err == "", argv
+        elif err.startswith("usage: "):
+            assert status == 2 and out == "", argv
+            assert re.search(r"^su4euler( \w+)?: error: ", err, re.M), argv
+        else:
+            assert err.startswith("su4euler: ") and err.count("\n") == 1, (argv, err)
+            assert err.endswith("\n") and out == "", argv
+    assert statuses == {0, 1, 2, 3}

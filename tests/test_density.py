@@ -12,6 +12,7 @@ from su4euler import (
     SPECTRUM_UPPER,
     bloch_coefficients,
     compose_su4,
+    gell_mann,
     rho_diagonal,
     rho_full,
     spectrum_diagonal,
@@ -53,6 +54,23 @@ def test_spectrum_is_probability_vector_inside_profile():
     assert np.abs(spectrum_diagonal(UPPER_CORNER) - [1, 0, 0, 0]).max() < 1e-15
 
 
+
+def test_spectrum_box_image_contains_the_ordered_chamber_but_is_not_it():
+    # Not the chamber: this point of the box has l2 < l3 < l4.
+    theta = np.arcsin(np.sqrt([0.99, 0.7, 0.8]))
+    assert ((theta >= SPECTRUM_LOWER) & (theta <= SPECTRUM_UPPER)).all()
+    assert np.abs(spectrum_diagonal(theta) - [0.5544, 0.0056, 0.24, 0.2]).max() <= 1e-15
+    # Contains it: an ordered spectrum l1 >= l2 >= l3 >= l4 has the preimage
+    # (a, b, c) = sin^2 theta with c = 1 - l4, b = 1 - l3 / c, a = l1 / (b c).
+    lam = -np.sort(-np.random.default_rng(5).dirichlet(np.ones(4), 10**4), axis=1)
+    c = 1.0 - lam[:, 3]
+    b = 1.0 - lam[:, 2] / c
+    abc = np.stack([lam[:, 0] / (b * c), b, c], axis=-1)
+    assert ((abc >= [1 / 2, 2 / 3, 3 / 4]) & (abc <= 1.0)).all()
+    theta = np.arcsin(np.sqrt(abc))
+    assert ((theta >= SPECTRUM_LOWER) & (theta <= SPECTRUM_UPPER)).all()
+    assert np.abs(spectrum_diagonal(theta) - lam).max() <= 1e-15
+
 def test_bloch_maximally_mixed():
     c = bloch_coefficients(LOWER_CORNER)
     assert c.w0 == 0.25
@@ -71,11 +89,12 @@ def test_bloch_reconstruction_identity():
     rng = np.random.default_rng(10)
     for theta in random_thetas(rng, 100):
         c = bloch_coefficients(theta)
-        assert np.abs(c.matrix() - rho_diagonal(theta)).max() <= 1e-14
+        expansion = (c.w0 * np.eye(4) + c.w3 * gell_mann(3) + c.w8 * gell_mann(8)
+                     + c.w15 * gell_mann(15))
+        assert np.abs(expansion - rho_diagonal(theta)).max() <= 1e-14
 
 
 def test_bloch_matches_trace_extraction():
-    from su4euler import gell_mann
     rng = np.random.default_rng(11)
     for theta in random_thetas(rng, 20):
         c = bloch_coefficients(theta)

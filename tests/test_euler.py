@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from su4euler import (
+    SU2_GENERATOR_SEQUENCE,
+    SU3_GENERATOR_SEQUENCE,
     SU4_GENERATOR_SEQUENCE,
     analytic_volume,
-    compose_su2,
-    compose_su3,
     compose_su4,
     group_volume,
     haar_density,
-    haar_density_su2,
-    haar_density_su3,
     one_form_matrix,
     range_profile,
     rho_full,
@@ -34,28 +32,28 @@ def test_su4_factor_sequence():
 
 
 def test_compose_su2_identity():
-    assert np.abs(compose_su2(0.0, 0.0, 0.0) - np.eye(4)).max() < 1e-16
+    assert np.abs(compose(SU2_GENERATOR_SEQUENCE, (0.0, 0.0, 0.0)) - np.eye(4)).max() < 1e-16
 
 
 def test_compose_su2_quarter_rotation():
-    u = compose_su2(0.0, np.pi / 2, 0.0)
+    u = compose(SU2_GENERATOR_SEQUENCE, (0.0, np.pi / 2, 0.0))
     expected = np.eye(4, dtype=complex)
     expected[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
     assert np.abs(u - expected).max() < 1e-15
 
 
 def test_compose_su2_diagonal_phases():
-    u = compose_su2(np.pi / 2, 0.0, np.pi / 2)
+    u = compose(SU2_GENERATOR_SEQUENCE, (np.pi / 2, 0.0, np.pi / 2))
     assert np.abs(u - np.diag([-1.0, -1.0, 1.0, 1.0])).max() < 1e-15
 
 
 def test_compose_su3_identity():
-    assert np.abs(compose_su3(np.zeros(8)) - np.eye(4)).max() < 1e-16
+    assert np.abs(compose(SU3_GENERATOR_SEQUENCE, np.zeros(8)) - np.eye(4)).max() < 1e-16
 
 
 def test_compose_su3_lambda8_phase():
     a14 = 0.83
-    u = compose_su3([0, 0, 0, 0, 0, 0, 0, a14])
+    u = compose(SU3_GENERATOR_SEQUENCE, [0, 0, 0, 0, 0, 0, 0, a14])
     expected = np.diag(np.exp(1j * np.array([1, 1, -2, 0]) * a14 / np.sqrt(3)))
     assert np.abs(u - expected).max() < 1e-15
 
@@ -63,7 +61,7 @@ def test_compose_su3_lambda8_phase():
 def test_compose_su3_embedding_pattern():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        u = compose_su3(rng.uniform(0, np.pi, 8))
+        u = compose(SU3_GENERATOR_SEQUENCE, rng.uniform(0, np.pi, 8))
         assert np.abs(u[3, :3]).max() < 1e-15
         assert np.abs(u[:3, 3]).max() < 1e-15
         assert abs(u[3, 3] - 1.0) < 1e-15
@@ -95,7 +93,8 @@ def test_compose_su4_restricts_to_su3():
         middle = rng.uniform(0, np.pi, 8)
         full = np.zeros(15)
         full[6:14] = middle
-        assert np.abs(compose_su4(full) - compose_su3(middle)).max() < 1e-14
+        su3 = compose(SU3_GENERATOR_SEQUENCE, middle)
+        assert np.abs(compose_su4(full) - su3).max() < 1e-14
 
 
 def test_compose_su4_angle_count():
@@ -196,11 +195,11 @@ _NONFINITE = [np.nan, np.inf, -np.inf]
     (lambda a: compose_su4(a[0]), "a5"),
     (lambda a: rho_full(a[0, :12], (1.0, 1.1, 1.2)), "a5"),
     # The paper's names: a7..a14 for SU(3), mu, nu, xi for SU(2).
-    (lambda a: compose_su3(a[0, :8]), "a11"),
-    (lambda a: compose_su3(a[2, 1:9]), "a7"),
-    (lambda a: compose_su3(a[:, :8]), "a11"),
-    (lambda a: compose_su2(*a[2, :3]), "nu"),
-    (lambda a: compose_su2(*a[2, 1:4]), "mu"),
+    (lambda a: compose(SU3_GENERATOR_SEQUENCE, a[0, :8]), "a11"),
+    (lambda a: compose(SU3_GENERATOR_SEQUENCE, a[2, 1:9]), "a7"),
+    (lambda a: compose(SU3_GENERATOR_SEQUENCE, a[:, :8]), "a11"),
+    (lambda a: compose(SU2_GENERATOR_SEQUENCE, a[2, :3]), "nu"),
+    (lambda a: compose(SU2_GENERATOR_SEQUENCE, a[2, 1:4]), "mu"),
 ], ids=["compose-row", "compose-stack", "compose_su4", "rho_full",
         "compose_su3", "compose_su3-first", "compose_su3-stack", "compose_su2",
         "compose_su2-first"])
@@ -218,12 +217,14 @@ def test_one_form_and_exp_generator_reject_nonfinite_angle(bad):
     angles[7] = bad
     with pytest.raises(ValueError, match="angles must be finite"):
         one_form_matrix(angles)
-    # a8 sits on a nontrivial axis of each density: a7..a14 is the SU(3)
-    # vector and a7, a8, a9 the SU(2) one, with a8 as its nu.
-    for density, vector in [(haar_density, angles), (haar_density_su3, angles[6:14]),
-                            (haar_density_su2, angles[6:9])]:
+    # a8 sits on a nontrivial axis of the density, alone and in a stack.
+    for vector in (angles, np.stack([np.full(15, 0.5), angles])):
         with pytest.raises(ValueError, match="^angles must be finite$"):
-            density(vector)
+            haar_density(vector)
+    # An SU(3) vector a7..a14 is not a density argument: its density is the
+    # product of _DENSITY_FACTORS["su3"].
+    with pytest.raises(ValueError, match=r"^expected trailing dimension 15, got \(8,\)$"):
+        haar_density(np.full(8, 0.5))
     for angle in (bad, angles):
         with pytest.raises(ValueError, match=rf"^angle must be finite, got {bad}$"):
             exp_generator(5, angle)

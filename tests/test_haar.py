@@ -13,17 +13,12 @@ from su4euler import (
     SU4_GENERATOR_SEQUENCE,
     analytic_volume,
     compose,
-    compose_su2,
-    compose_su3,
     compose_su4,
     exp_generator,
     gell_mann,
     group_volume,
     haar_density,
-    haar_density_su2,
-    haar_density_su3,
     one_form_matrix,
-    one_form_matrix_su3,
     range_profile,
     sample_haar_angles,
     sample_haar_unitary,
@@ -37,6 +32,19 @@ KS_C01 = 1.628
 def uniform_points(seed, n, profile):
     rng = np.random.default_rng(seed)
     return profile.lengths() * rng.random((n, profile.dim))
+
+
+def factor_density(group, angles):
+    """The group's Haar density at angles (..., n): the product of its
+    _DENSITY_FACTORS in ascending axis order."""
+    factors = _DENSITY_FACTORS[group]
+    return math.prod(factors[axis][0](angles[..., axis]) for axis in sorted(factors))
+
+
+def su3_one_form(angles):
+    """The SU(3) chain's 8x8 one-form: SU(4)'s a7..a14 rows and lam_1..lam_8
+    columns at a1..a6 = a15 = 0, where those factors are the identity."""
+    return one_form_matrix(np.r_[np.zeros(6), angles, 0.0])[6:14, :8]
 
 
 def test_one_form_zero_angles_canonical_rows():
@@ -66,8 +74,8 @@ def test_one_form_determinant_matches_density():
 def test_one_form_su3_matches_su3_density():
     profile = range_profile("su3", "volume")
     for point in uniform_points(23, 50, profile):
-        det = abs(np.linalg.det(one_form_matrix_su3(point)))
-        density = haar_density_su3(point)
+        det = abs(np.linalg.det(su3_one_form(point)))
+        density = factor_density("su3", point)
         assert abs(det - density) <= 1e-8 * abs(density)
 
 
@@ -87,7 +95,7 @@ def one_form_by_differences(compose_fn, point, basis, h=1e-6):
 @pytest.mark.parametrize("kind", ["volume", "covering"])
 @pytest.mark.parametrize("group,compose_fn,one_form,basis", [
     ("su4", compose_su4, one_form_matrix, range(1, 16)),
-    ("su3", compose_su3, one_form_matrix_su3, range(1, 9)),
+    ("su3", functools.partial(compose, SU3_GENERATOR_SEQUENCE), su3_one_form, range(1, 9)),
 ], ids=["su4", "su3"])
 def test_one_form_rows_match_finite_differences(kind, group, compose_fn,
                                                 one_form, basis):
@@ -114,7 +122,7 @@ def one_form_by_transposed_chain(generators, angles, basis):
 
 @pytest.mark.parametrize("group,generators,one_form", [
     ("su4", SU4_GENERATOR_SEQUENCE, one_form_matrix),
-    ("su3", SU3_GENERATOR_SEQUENCE, one_form_matrix_su3),
+    ("su3", SU3_GENERATOR_SEQUENCE, su3_one_form),
 ], ids=["su4", "su3"])
 def test_one_form_rows_match_transposed_chain(group, generators, one_form):
     basis = range(1, len(generators) + 1)
@@ -141,7 +149,7 @@ def test_density_vanishing_factor():
     assert haar_density(angles) == 0.0
     su3 = np.full(8, 0.8)
     su3[3] = 0.0  # sin^3(a10) factor
-    assert haar_density_su3(su3) == 0.0
+    assert factor_density("su3", su3) == 0.0
 
 
 def test_density_spot_value():
@@ -260,8 +268,8 @@ def test_su2_covering_ranges_absorb_center_factor():
     (lo_m, hi_m), (lo_n, hi_n), (lo_x, hi_x) = cov.bounds
     x, w = np.polynomial.legendre.leggauss(48)
     nu = 0.5 * (hi_n + lo_n) + 0.5 * (hi_n - lo_n) * x
-    bare = (hi_m - lo_m) * (hi_x - lo_x) * 0.5 * (hi_n - lo_n) * np.sum(
-        w * haar_density_su2(np.stack([np.zeros_like(nu), nu, np.zeros_like(nu)], axis=-1)))
+    density = factor_density("su2", np.stack([np.zeros_like(nu), nu, np.zeros_like(nu)], -1))
+    bare = (hi_m - lo_m) * (hi_x - lo_x) * 0.5 * (hi_n - lo_n) * np.sum(w * density)
     normalized = group_volume("su2", "quadrature", 48).estimate
     assert abs(bare - normalized) <= 1e-12 * normalized
 
@@ -323,8 +331,8 @@ def test_alpha1_marginal_uniform():
 
 
 @pytest.mark.parametrize("group,compose_group", [
-    ("su2", lambda angles: compose_su2(*angles)),
-    ("su3", compose_su3),
+    ("su2", functools.partial(compose, SU2_GENERATOR_SEQUENCE)),
+    ("su3", functools.partial(compose, SU3_GENERATOR_SEQUENCE)),
     ("su4", compose_su4),
 ], ids=["su2", "su3", "su4"])
 def test_sample_haar_unitary_deterministic_and_special_unitary(group, compose_group):

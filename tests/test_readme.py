@@ -1,13 +1,15 @@
 """The README's library sketch and CLI examples run against the package as
-it is."""
+it is, and every name the package exports is used outside the tests."""
 
+import ast
 import pathlib
 import re
 import shlex
 
 from su4euler import cli
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_sketch_runs():
@@ -34,3 +36,30 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, bell_projector):
         if line not in piped:
             assert cli.main(shlex.split(line)[1:]) == 0, line
     assert capsys.readouterr().err == ""
+
+
+def test_every_export_is_used_outside_the_tests():
+    # An export that only tests call is a second code path to keep: each one
+    # needs a caller in the library, the README, the benchmark harness or the
+    # acceptance gate.  A module's own def, class or assignment line of the
+    # name is not a use.
+    package = ROOT / "src" / "su4euler"
+    exported = []
+    for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            exported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            exported += [target.id for target in node.targets]
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += [README, ROOT / "tests" / "test_acceptance.py",
+                *sorted((ROOT / "perfbench").rglob("*.py"))]
+    texts = [path.read_text(encoding="utf-8") for path in sources]
+    unused = []
+    for name in exported:
+        defined = re.compile(rf"^\s*(def|class) {name}\b|^{name}\s*[:=]")
+        used = re.compile(rf"\b{name}\b")
+        if not any(used.search(line) and not defined.match(line)
+                   for text in texts for line in text.splitlines()):
+            unused.append(name)
+    assert len(exported) > 40
+    assert not unused, f"exported, but used only in tests: {unused}"
