@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__, haar
 from .algebra import gell_mann, structure_constants
-from .density import bloch_coefficients, conjugate, rho_full, spectrum_diagonal
+from .density import bloch_coefficients, conjugate, spectrum_diagonal
 from .errors import ValidationError, _shown
-from .euler import compose_su4
+from .euler import SU4_GENERATOR_SEQUENCE, compose
 from .haar import analytic_volume, group_volume
 from .separability import corner_scan, is_entangled, scan
 
@@ -147,11 +147,8 @@ def _rho_from_args(args) -> tuple:
     """Build (rho, theta) from --alpha/--theta flags."""
     alphas = parse_angle_list(args.alpha, (12, 15))
     thetas = parse_angle_list(args.theta, (3,))
-    if len(alphas) == 15:
-        rho = conjugate(compose_su4(alphas), thetas)
-    else:
-        rho = rho_full(alphas, thetas)
-    return rho, thetas
+    v = compose(SU4_GENERATOR_SEQUENCE[:len(alphas)], alphas)
+    return conjugate(v, thetas), thetas
 
 
 def cmd_basis(args) -> int:
@@ -194,6 +191,8 @@ def cmd_volume(args) -> int:
                              f"got {_shown(text)}") from None
         if not math.isfinite(samples):
             raise ValueError(f"Monte Carlo sample count must be finite, got {_shown(text)}")
+        if samples >= 2**53:  # float() rounds larger counts: 2^53 + 1 to 2^53
+            raise ValueError(f"Monte Carlo sample count must be below 2^53, got {_shown(text)}")
         # group_volume rejects a count with a fractional part, such as 2500.5.
         config["resolution"] = int(samples) if samples.is_integer() else samples
         config["seed"] = 0 if args.seed is None else args.seed
@@ -484,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--nodes", type=int, default=None,
                        help="quadrature nodes per nontrivial axis (default: 64)")
     p_vol.add_argument("--samples", default=None,
-                       help="Monte Carlo sample count such as 1e6 (default: 100000)")
+                       help="Monte Carlo sample count such as 1e6, below 2^53 (default: 100000)")
     p_vol.add_argument("--seed", type=int, default=None,
                        help="Monte Carlo seed (default: 0)")
     p_vol.add_argument("--timing", action="store_true",
@@ -502,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks a flag not given: --corners rejects both, a random scan
     # reads 1000 and 0.
     p_scan.add_argument("--samples", type=int, default=None,
-                        help="random states to scan (default: 1000)")
+                        help="exact count of random states (default: 1000); no ceiling: "
+                             "time grows linearly, Ctrl-C exits 130 leaving no worker")
     p_scan.add_argument("--seed", type=int, default=None,
                         help="generator seed (default: 0)")
     p_scan.add_argument("--corners", action="store_true",

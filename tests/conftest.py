@@ -1,16 +1,53 @@
-"""Shared test helpers: an independent dense matrix exponential, random
-two-qubit states drawn through the Euler parametrization, scan's angle
-chunks with one fixed spectrum, and the chunks of a scan joined into whole
-columns."""
+"""Shared test helpers: the CLI run in this process (run_cli) or in a fresh
+interpreter (run_module), an independent dense matrix exponential, random
+two-qubit states drawn through the Euler parametrization, scan's angle chunks
+with one fixed spectrum, and the chunks of a scan joined into whole columns."""
 
+import contextlib
+import io
+import subprocess
+import sys
+import warnings
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from su4euler import SPECTRUM_LOWER, SPECTRUM_UPPER, range_profile, rho_full
-from su4euler.haar import sample_haar_angles
+from su4euler import SPECTRUM_LOWER, SPECTRUM_UPPER, cli, haar, range_profile, rho_full
 from su4euler.separability import scan_angles
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """`python -m su4euler *argv` as subprocess.run(..., capture_output=True)
+    returns it, run as cli.main(argv) in this process on one CPU, so no scan
+    forks.  argparse's SystemExit gives the status, other exceptions and the
+    warnings that the active filters make errors propagate, and other warnings
+    are appended to stderr as the interpreter prints them."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.object(haar, "_available_cpus", lambda: 1),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always", append=True)
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                   for w in caught)
+    return subprocess.CompletedProcess(argv, status, out.getvalue().encode(),
+                                       err.getvalue().encode())
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "su4euler", *argv],
+                          capture_output=True, timeout=300)
+
+
+def write_matrix_file(path, matrix):
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in matrix:
+            fh.write("  ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
 
 
 def expm_taylor(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
@@ -42,7 +79,7 @@ def random_states(seed: int, n: int):
     profile = range_profile("su4", "volume")
     lo = np.array(SPECTRUM_LOWER)
     hi = np.array(SPECTRUM_UPPER)
-    alphas = sample_haar_angles(rng, profile, size=n)[:, :12]
+    alphas = haar.sample_haar_angles(rng, profile, size=n)[:, :12]
     thetas = lo + (hi - lo) * rng.random((n, 3))
     for i in range(n):
         yield alphas[i], thetas[i], rho_full(alphas[i], thetas[i])

@@ -4,15 +4,13 @@ Each test prints one [PASS] line on success; a failure shows up as the
 pytest FAILED line for that criterion.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 import su4euler as s
 
-from conftest import random_states
+from conftest import random_states, run_module
 from test_algebra import TABLE_KK, TABLE_PP, TABLE_KP, table_matrix
 
 
@@ -189,10 +187,7 @@ def test_criterion_10_cli_determinism():
         ("rho", "--alpha", ",".join(["0"] * 12), "--theta", "pi/2,pi/2,pi/2"),
     ]
     for command in commands:
-        first = subprocess.run([sys.executable, "-m", "su4euler", *command],
-                               capture_output=True, timeout=300)
-        second = subprocess.run([sys.executable, "-m", "su4euler", *command],
-                                capture_output=True, timeout=300)
+        first, second = run_module(*command), run_module(*command)
         assert first.returncode == 0, command
         assert first.stdout == second.stdout, command
         assert first.stderr == second.stderr, command

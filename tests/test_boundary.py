@@ -11,7 +11,6 @@ from su4euler import (
     SPECTRUM_UPPER,
     ValidationError,
     classify,
-    cli,
     corner_scan,
     is_entangled,
     rho_full,
@@ -21,7 +20,7 @@ from su4euler import (
 )
 from su4euler.separability import classify_chunks, corner_angles, scan_angles
 
-from conftest import fixed_spectrum_angles
+from conftest import fixed_spectrum_angles, run_cli
 
 SPECTRUM_EDGES = list(itertools.product(*zip(SPECTRUM_LOWER, SPECTRUM_UPPER)))
 
@@ -31,18 +30,18 @@ def listed(chunks):
             for start, a, t, c in chunks]
 
 
-def run_angle_paths(capsys):
+def run_angle_paths():
     """Outputs of every route that classifies states built from angles."""
     records = listed(scan(4100, seed=3))
     corners = listed(corner_scan())
     chunks = listed(classify_chunks(scan_angles(300, seed=5)))
-    assert cli.main(["scan", "--samples", "300", "--seed", "2",
-                     "--format", "json"]) == 0
-    return records, corners, chunks, capsys.readouterr().out
+    proc = run_cli("scan", "--samples", "300", "--seed", "2", "--format", "json")
+    assert proc.returncode == 0
+    return records, corners, chunks, proc.stdout
 
 
-def test_angle_built_states_skip_validation(monkeypatch, capsys):
-    expected = run_angle_paths(capsys)
+def test_angle_built_states_skip_validation(monkeypatch):
+    expected = run_angle_paths()
     calls = []
 
     def refuse(rho, *args, **kwargs):
@@ -50,7 +49,7 @@ def test_angle_built_states_skip_validation(monkeypatch, capsys):
         raise ValidationError("refused by the test")
 
     monkeypatch.setattr(separability, "validate_density_matrix", refuse)
-    assert run_angle_paths(capsys) == expected
+    assert run_angle_paths() == expected
     assert calls == []
 
     rho = np.eye(4, dtype=complex) / 4.0

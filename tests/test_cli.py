@@ -1,34 +1,21 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior, run in process by conftest's run_cli."""
 
 import json
 import math
-import os
 import random
 import re
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
-from su4euler import cli, is_entangled, rho_full
+from conftest import run_cli, run_module, write_matrix_file
+from su4euler import is_entangled, rho_full
+from su4euler.cli import parse_angle
 
 LOWER_THETA = "pi/4, acos(1/sqrt(3)), pi/3"
 ZERO_ALPHA = ",".join(["0"] * 12)
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "su4euler", *args],
-        capture_output=True, timeout=300,
-    )
-
-
-def write_matrix_file(path, matrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write("  ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
 
 
 def test_basis_prints_generator():
@@ -78,8 +65,7 @@ def test_volume_su4_quadrature_64_nodes():
 def test_volume_monte_carlo_deterministic():
     args = ("volume", "--group", "su4", "--method", "mc",
             "--samples", "1e5", "--seed", "7")
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first, second = run_module(*args), run_module(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)["payload"]
@@ -257,10 +243,8 @@ def test_volume_cuts_a_long_sample_count_short(samples, problem):
 
 @pytest.mark.parametrize("row,col", [(0, 0), (0, 2)])
 def test_check_rejects_nonfinite_matrix_entries(tmp_path, row, col):
-    rho = np.eye(4, dtype=complex) / 4.0
-    rho[row, col] = np.nan
     path = tmp_path / "nan.mat"
-    write_matrix_file(path, rho)
+    path.write_text(_quarter_file({(row, 2 * col): "nan"}), encoding="utf-8")
     proc = run_cli("check", "--matrix", str(path))
     assert proc.returncode == 3
     assert "finiteness invariant violated" in proc.stderr.decode()
@@ -287,13 +271,13 @@ _HUGE_COMPLEX = {(i, 2 * j + k): "-1.7e308" if k and i > j else "1.7e308"
     (_HUGE_COMPLEX, "positivity invariant violated: min eigenvalue nan"),
 ], ids=["hermiticity-overflow", "inf-imaginary-part", "trace-overflow",
         "eigensolver-overflow"])
-def test_check_matrix_near_the_float_limit_exits_3_without_a_warning(tmp_path, capsys,
-                                                                     entries, message):
-    # In process, so that tier-1's error::RuntimeWarning fails any numpy warning.
+def test_check_matrix_near_the_float_limit_exits_3_without_a_warning(tmp_path, entries,
+                                                                     message):
     path = tmp_path / "extreme.mat"
     path.write_text(_quarter_file(entries), encoding="utf-8")
-    assert cli.main(["check", "--matrix", str(path)]) == 3
-    assert capsys.readouterr() == ("", f"su4euler: {message}\n")
+    proc = run_cli("check", "--matrix", str(path))
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.decode() == f"su4euler: {message}\n"
 
 
 def test_cli_import_loads_no_random_polynomial_or_dataclasses():
@@ -382,14 +366,19 @@ def test_volume_rejects_nonfinite_sample_count(samples):
     assert f"sample count must be finite, got {samples!r}" in proc.stderr.decode()
 
 
-@pytest.mark.parametrize("samples,status", [("2500.5", 2), ("1e3", 0)])
+@pytest.mark.parametrize("samples,status", [("2500.5", 2), ("1e3", 0), ("1e30", 2),
+                                            ("9007199254740993", 2),
+                                            ("12345678901234567891", 2)])
 def test_volume_sample_count_must_be_integral(samples, status):
     proc = run_cli("volume", "--group", "su2", "--method", "mc",
                    "--samples", samples)
     assert proc.returncode == status
-    if status:
+    if samples == "2500.5":
         assert ("integer resolution of at least 1000 samples, got 2500.5"
                 in proc.stderr.decode())
+    elif status:
+        assert proc.stderr.decode() == (
+            f"su4euler: Monte Carlo sample count must be below 2^53, got {samples!r}\n")
     else:
         assert json.loads(proc.stdout)["config"]["resolution"] == 1000
 
@@ -428,8 +417,7 @@ def test_volume_rejects_too_many_nodes():
 
 def test_scan_byte_identical_repeats():
     args = ("scan", "--samples", "50", "--seed", "1")
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first, second = run_module(*args), run_module(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
@@ -589,25 +577,18 @@ def test_rho_eigenvalues_match_spectrum_random_angles():
                        atol=1e-12)
 
 
-def run_cli_with_workers_env(args, value):
-    """Run the CLI with SU4EULER_WORKERS set to value, or unset if None."""
-    env = {k: v for k, v in os.environ.items() if k != "SU4EULER_WORKERS"}
-    if value is not None:
-        env["SU4EULER_WORKERS"] = value
-    return subprocess.run([sys.executable, "-m", "su4euler", *args],
-                          capture_output=True, timeout=300, env=env)
-
-
-def test_workers_env_variable_and_flag_override():
+def test_workers_env_variable_and_flag_override(monkeypatch):
     # Every seeded draw uses one stream: the variable is not read, and the
     # flag that once overrode it is gone.
     args = ("volume", "--group", "su2", "--method", "mc", "--samples", "5000",
             "--seed", "9")
-    plain = run_cli_with_workers_env(args, None)
-    with_env = run_cli_with_workers_env(args, "2")
+    monkeypatch.delenv("SU4EULER_WORKERS", raising=False)
+    plain = run_cli(*args)
+    monkeypatch.setenv("SU4EULER_WORKERS", "2")
+    with_env = run_cli(*args)
     assert plain.returncode == with_env.returncode == 0
     assert with_env.stdout == plain.stdout and with_env.stderr == b""
-    with_flag = run_cli_with_workers_env((*args, "--workers", "1"), "2")
+    with_flag = run_cli(*args, "--workers", "1")
     assert with_flag.returncode == 2 and with_flag.stdout == b""
     assert "unrecognized arguments: --workers" in with_flag.stderr.decode()
 
@@ -617,11 +598,13 @@ def test_workers_env_variable_and_flag_override():
     ("scan", "--samples", "5", "--seed", "1"),
     ("volume", "--group", "su2", "--method", "quad", "--nodes", "8"),
 ], ids=["scan", "volume-quad"])
-def test_bad_workers_env_variable_named(args, value):
+def test_bad_workers_env_variable_named(monkeypatch, args, value):
     """A SU4EULER_WORKERS value that was once rejected by name is now
     ignored: the run exits 0 with the bytes of a run without it."""
-    plain = run_cli_with_workers_env(args, None)
-    ignored = run_cli_with_workers_env(args, value)
+    monkeypatch.delenv("SU4EULER_WORKERS", raising=False)
+    plain = run_cli(*args)
+    monkeypatch.setenv("SU4EULER_WORKERS", value)
+    ignored = run_cli(*args)
     assert plain.returncode == ignored.returncode == 0
     assert ignored.stdout == plain.stdout and ignored.stderr == b""
 
@@ -640,7 +623,6 @@ def test_version_flag():
     ("0.125", 0.125),
 ])
 def test_angle_expression_parser(expr, value):
-    from su4euler.cli import parse_angle
     assert abs(parse_angle(expr) - value) < 1e-15
 
 
@@ -649,7 +631,6 @@ def test_angle_expression_parser(expr, value):
                          ids=["zero-division", "overflow", "int-too-large",
                               "acos-domain", "sqrt-domain", "complex-power"])
 def test_angle_expression_arithmetic_error_names_input(expr):
-    from su4euler.cli import parse_angle
     with pytest.raises(ValueError, match="cannot evaluate angle expression"):
         parse_angle(expr)
 
@@ -667,14 +648,12 @@ def test_deeply_nested_angle_expression_exits_2(depth):
 
 
 def test_angle_expression_rejects_complex_power():
-    from su4euler.cli import parse_angle
     with pytest.raises(ValueError):
         parse_angle("(-1)**0.5")
     assert parse_angle("(-2)**3") == -8.0
 
 
 def test_angle_expression_unsupported_error_not_wrapped():
-    from su4euler.cli import parse_angle
     with pytest.raises(ValueError,
                        match=r"^unsupported angle expression: 'sqrt\(foo\(1\)\)'$"):
         parse_angle("sqrt(foo(1))")
@@ -688,7 +667,6 @@ def test_angle_expression_unsupported_error_not_wrapped():
 
 
 def test_angle_expression_rejects_calls():
-    from su4euler.cli import parse_angle
     with pytest.raises(ValueError):
         parse_angle("__import__('os').system('true')")
     with pytest.raises(ValueError):
@@ -724,8 +702,8 @@ def _angle_list(rng, pool, counts):
 
 def _counts(parse, most):
     """The hostile values except those parse reads as a finite count above
-    most: a scan of more than one chunk forks a worker, and a large Monte
-    Carlo count runs long.  inf and nan are rejected at once and stay."""
+    most: a scan's run time grows linearly with its count, which has no
+    ceiling, and a large Monte Carlo count runs long.  inf and nan stay."""
     def small(text):
         try:
             return not most < parse(text) < math.inf
@@ -739,13 +717,12 @@ def _matrix_file(rng, path):
     """A random 4x8 table of tokens, sometimes of another shape, sometimes
     the valid I/4."""
     if rng.random() < 0.2:
-        rows = [["0"] * 8 for _ in range(4)]
-        for k in range(4):
-            rows[k][2 * k] = "0.25"
+        text = _quarter_file({})
     else:
         rows = [[rng.choice(_MATRIX_TOKENS) for _ in range(rng.choice((8, 8, 8, 7, 9)))]
                 for _ in range(rng.choice((4, 4, 4, 0, 3, 5)))]
-    path.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+        text = "".join(" ".join(row) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -783,8 +760,8 @@ def _sweep_argv(rng, tmp_path, index):
                                                           str(tmp_path / "absent.mat")])]
     else:
         if rng.random() < 0.15:
-            # Always with --samples or --seed: the 2^15 corners span eight
-            # chunks, which would fork a worker.
+            # Always with --samples or --seed: a valid corner scan classifies
+            # all 2^15 corners.
             argv += ["--corners", rng.choice(["--samples", "--seed"]), "1"]
         if rng.random() < 0.7:
             argv += ["--samples", rng.choice(["1", "3", "17", "256", "4096"]
@@ -800,24 +777,19 @@ def _sweep_argv(rng, tmp_path, index):
     return argv
 
 
-def test_seeded_argv_and_matrix_file_sweep(tmp_path, monkeypatch, capsys):
-    # Random argv over the five subcommands, run in process: every run ends
-    # in a documented status with one su4euler: line or argparse's usage on
-    # stderr, a success prints nothing there, and no warning is raised.
+def test_seeded_argv_and_matrix_file_sweep(tmp_path, monkeypatch):
+    # Random argv over the five subcommands: every run ends in a documented
+    # status with one su4euler: line or argparse's usage on stderr, a
+    # success prints nothing there, and no warning is raised.
     monkeypatch.chdir(tmp_path)  # a stray --output lands here
     rng = random.Random(27)
     statuses = set()
     for index in range(1500):
         argv = _sweep_argv(rng, tmp_path, index)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                status = cli.main(argv)
-            except SystemExit as exc:
-                status = exc.code
-        out, err = capsys.readouterr()
+        proc = run_cli(*argv)
+        status, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
         statuses.add(status)
-        assert caught == [], argv
+        assert "Warning: " not in err, argv
         assert status in (0, 1, 2, 3), argv
         if status == 0:
             assert err == "", argv

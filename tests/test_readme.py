@@ -6,7 +6,7 @@ import pathlib
 import re
 import shlex
 
-from su4euler import cli
+from conftest import run_cli, write_matrix_file
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -21,7 +21,7 @@ def test_readme_library_sketch_runs():
     assert namespace["entangled"] > 0
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, bell_projector):
+def test_readme_cli_examples_run(tmp_path, monkeypatch, bell_projector):
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
                         flags=re.S)
     lines = [line for block in blocks for line in block.splitlines()
@@ -29,13 +29,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, bell_projector):
     piped = [line for line in lines if "|" in line]
     assert piped == ['su4euler basis --structure | grep "f(1,2,3)"']
     monkeypatch.chdir(tmp_path)
-    with open("bell.mat", "w", encoding="utf-8") as fh:
-        for row in bell_projector:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
+    write_matrix_file("bell.mat", bell_projector)
     for line in lines:
         if line not in piped:
-            assert cli.main(shlex.split(line)[1:]) == 0, line
-    assert capsys.readouterr().err == ""
+            proc = run_cli(*shlex.split(line)[1:])
+            assert proc.returncode == 0 and proc.stderr == b"", line
 
 
 def test_every_export_is_used_outside_the_tests():

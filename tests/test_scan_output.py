@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from su4euler import __version__, cli, corner_scan, haar, scan
 from su4euler.haar import CHUNK
 from su4euler.separability import Classification
@@ -142,9 +143,8 @@ def test_corner_scan_formats_each_alpha_column_once(monkeypatch, tmp_path, fmt):
         return float_texts(column)
 
     monkeypatch.setattr(cli, "_float_texts", counted_float_texts)
-    monkeypatch.setattr(haar, "_available_cpus", lambda: 1)
     out = tmp_path / f"corners.{fmt}"
-    assert cli.main(["scan", "--corners", "--format", fmt, "--output", str(out)]) == 0
+    assert run_cli("scan", "--corners", "--format", fmt, "--output", str(out)).returncode == 0
     assert calls == [CHUNK] * (12 + 8 * 5)
     assert out.read_bytes() == reference_output(fmt, corners=True).encode()
 
@@ -168,13 +168,12 @@ def test_scan_pieces_keep_signed_zeros(fmt):
     assert text == reference
 
 
-def test_stdout_equals_output_file(tmp_path, capsys):
+def test_stdout_equals_output_file(tmp_path):
     out = tmp_path / "scan.json"
     argv = _argv("json", CASES["default"])
-    assert cli.main(argv + ["--output", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == out.read_text()
+    to_file, to_stdout = run_cli(*argv, "--output", str(out)), run_cli(*argv)
+    assert to_file.returncode == to_stdout.returncode == 0 and to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
 
 
 @pytest.mark.parametrize("args,tally", [
