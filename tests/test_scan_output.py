@@ -104,7 +104,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_streamed_output_equals_reference(tmp_path, case, fmt):
     out = tmp_path / f"scan.{fmt}"
-    assert cli.main(_argv(fmt, CASES[case]) + ["--output", str(out)]) == 0
+    assert run_cli(*_argv(fmt, CASES[case]), "--output", str(out)).returncode == 0
     assert out.read_bytes() == reference_output(fmt, **CASES[case]).encode()
 
 
@@ -120,6 +120,39 @@ def test_streamed_output_equals_reference(tmp_path, case, fmt):
 def test_float_texts_equal_repr(values):
     column = np.array(values)
     assert list(cli._float_texts(column)) == [_fmt(x) for x in values]
+
+
+def _many_doubles() -> np.ndarray:
+    """A million doubles of either sign: random bit patterns, log-uniform
+    magnitudes from 1e-6 to 1e18, integers, powers of two and ten and their
+    neighbours, the ends of repr's positional range (1e-4 and 1e16) and
+    theirs, subnormals, zeros, nan and the infinities."""
+    rng = np.random.default_rng(32)
+    powers = np.concatenate((2.0 ** np.arange(-1074, 1024),
+                             [float(f"1e{k}") for k in range(-323, 309)]))
+    ends = np.array([1e-4, 1e16])
+    special = np.concatenate((powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                              ends, np.nextafter(ends, 0), np.nextafter(ends, np.inf),
+                              [0.0, np.nan, np.inf, 5e-324, 2.225073858507201e-308]))
+    magnitudes = np.concatenate((
+        rng.integers(0, 2**64, 350_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-6, 18, 350_000),
+        np.arange(100_000, dtype=np.float64),
+        rng.integers(0, 2**53, 100_000).astype(np.float64),
+        rng.integers(1, 2**52, 100_000, dtype=np.uint64).view(np.float64),  # subnormal
+    ))
+    # Random signs, flipped on the bits: arithmetic on a signalling nan warns.
+    flips = np.where(rng.random(len(magnitudes)) < 0.5, np.uint64(1 << 63), np.uint64(0))
+    signed = (magnitudes.view(np.uint64) ^ flips).view(np.float64)
+    return np.concatenate((signed, special, -special))
+
+
+def test_float_texts_equal_repr_on_a_million_doubles():
+    """The orjson route and repr agree on every double.  The array repeats
+    some values, so its distinct ones are formatted through the dedupe."""
+    values = _many_doubles()
+    assert len(values) >= 10**6
+    assert cli._float_texts(values) == list(map(repr, values.tolist()))
 
 
 def test_float_texts_of_strided_columns():
@@ -186,7 +219,7 @@ def test_golden_scan_tallies(tmp_path, args, tally):
     """Verdict tallies of the golden scans, pinned where their hashes cannot
     be: the hashes follow the BLAS build, the verdicts should not."""
     out = tmp_path / "scan.csv"
-    assert cli.main(["scan", *args, "--output", str(out)]) == 0
+    assert run_cli("scan", *args, "--output", str(out)).returncode == 0
     footer = out.read_text(encoding="utf-8").splitlines()[-1]
     separable, entangled, boundary = tally
     assert footer == (f"# summary separable={separable} entangled={entangled} "
